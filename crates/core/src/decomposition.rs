@@ -151,21 +151,6 @@ impl ComponentTable {
     pub fn is_separable(&mut self, ctx: &QueryContext, set: PredSet) -> bool {
         !set.is_empty() && self.ensure(ctx, set) != set
     }
-
-    /// The already-memoized first factor of `set`, without computing.
-    /// Returns `None` for unvisited masks (and the empty set's factor as
-    /// `Some(EMPTY)` — it is always "known").
-    pub fn get(&self, set: PredSet) -> Option<PredSet> {
-        if set.is_empty() {
-            return Some(PredSet::EMPTY);
-        }
-        let cached = self.first_comp[set.0 as usize];
-        if cached != 0 {
-            Some(PredSet(cached))
-        } else {
-            None
-        }
-    }
 }
 
 #[cfg(test)]
@@ -277,19 +262,5 @@ mod tests {
                 "mask {mask:#b}"
             );
         }
-    }
-
-    #[test]
-    fn component_table_get_reports_only_visited_masks() {
-        let ctx = chain_ctx();
-        let mut table = ComponentTable::new(4);
-        assert_eq!(table.get(PredSet::EMPTY), Some(PredSet::EMPTY));
-        assert_eq!(table.get(PredSet(0b1001)), None);
-        let c = table.ensure(&ctx, PredSet(0b1001));
-        // p0 (T0) and p3 (T2) are disconnected: first factor is {p0}.
-        assert_eq!(c, PredSet::singleton(0));
-        assert_eq!(table.get(PredSet(0b1001)), Some(PredSet::singleton(0)));
-        // ensure memoized the chain's sub-steps too.
-        assert_eq!(table.get(PredSet(0b1000)), Some(PredSet::singleton(3)));
     }
 }

@@ -55,8 +55,7 @@
 //! pins and the 8-thread determinism suite relies on).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::Duration;
 
 use sqe_engine::{CardinalityOracle, ColRef, Database, Predicate, SpjQuery};
@@ -71,38 +70,15 @@ use crate::error::ErrorMode;
 use crate::flat::{peel_key, DenseMemo, FlatMemo, PeelMemo};
 use crate::link::{CandIndex, LinkCtx, LinkState, DEFAULT_RANGE_SEL};
 use crate::matcher::SitMatcher;
-use crate::par::{Claim, ClaimError, OnceMap};
 use crate::predset::{PredSet, QueryContext};
 use crate::sit::{SitCatalog, SitId};
 use crate::sit2::{Sit2Catalog, Sit2Id};
-use crate::steal::{AbortOnExit, FillStats, StealScheduler, WorkerStats};
 
 pub(crate) use crate::link::filter_bounds;
 
 /// Default group-count cap when no statistic exists for a grouping
 /// attribute.
 pub(crate) const DEFAULT_GROUPS: f64 = 100.0;
-/// Minimum number of same-rank masks per worker before the dense fill
-/// spawns threads: below this, scope setup and link-state forking cost
-/// more than the rank's arithmetic (small components stay serial).
-const PAR_MIN_MASKS_PER_WORKER: usize = 8;
-
-/// Lattice size (`2^|component|`) at or above which [`FillSchedule::Auto`]
-/// engages the work-stealing fill. Below it the fill stays serial: measured
-/// on this workload, a component under ~2048 masks finishes its whole
-/// lattice in well under the time the fill needs to allocate scheduler
-/// state, fork link caches, and spawn a thread scope — parallelism there is
-/// pure oversubscription (the regression the committed single-core
-/// BENCH_estimator numbers exhibited at 0.55–0.66× serial). `2048` masks
-/// means components of **11+ predicates** parallelize; anything smaller
-/// runs the brutal serial path.
-pub const WS_MIN_LATTICE_MASKS: usize = 2048;
-
-/// Above the [`WS_MIN_LATTICE_MASKS`] threshold, grant one worker per this
-/// many lattice masks (so a 2048-mask component gets at most 2 workers, a
-/// 65 536-mask one up to 64) before capping at the configured thread count.
-const WS_MASKS_PER_WORKER: usize = 1024;
-
 /// `Auto` uses the dense engine up to this many predicates (a `2¹⁶`-slot
 /// value table is 1 MiB — cheap next to the `3ⁿ` walk it accelerates).
 const DENSE_AUTO_MAX: usize = 16;
@@ -125,8 +101,7 @@ pub enum DpStrategy {
     Dense,
     /// Force the top-down recursion with open-addressed memos. Exact at
     /// any `n`, but the walk is O(3ⁿ) — past `n = 20` expect seconds to
-    /// hours per query. Serial: `dp_threads` is ignored (surfaced via
-    /// [`FillStats::dp_threads_ignored`]).
+    /// hours per query.
     Recursive,
     /// Force the beam-search approximate engine (see [`crate::beam`]):
     /// bounded-frontier best-first decomposition search on the sparse
@@ -157,27 +132,6 @@ impl DpStrategy {
             DpStrategy::Dense | DpStrategy::Recursive => false,
         }
     }
-}
-
-/// How the dense engine parallelizes a component fill when
-/// `dp_threads ≥ 2`. Every schedule is **bit-identical** to the serial
-/// fill (values, memo/peel entry sets, `vm_calls`); only scheduling and
-/// therefore speed differ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FillSchedule {
-    /// Work-stealing for components of [`WS_MIN_LATTICE_MASKS`] or more
-    /// lattice masks, serial below — the measured-threshold heuristic that
-    /// keeps small queries off the scheduler entirely (see the constant's
-    /// docs for the measurement rationale).
-    #[default]
-    Auto,
-    /// The historical rank-synchronous fill: one barrier per popcount
-    /// rank. Kept for comparison benchmarks and the schedule-equivalence
-    /// proptests; loses to work-stealing on skewed ranks.
-    RankBarrier,
-    /// Work-stealing regardless of component size (tests force it so the
-    /// scheduler is exercised at small `n`).
-    WorkStealing,
 }
 
 /// Instrumentation counters exposed by the estimator.
@@ -241,7 +195,8 @@ pub struct SelectivityEstimator<'a> {
     /// attribute (built when a [`Sit2Catalog`] is attached).
     sit2_index: HashMap<ColRef, Vec<(Sit2Id, u32)>>,
     /// The peel machinery's memoization state (value caches + counters),
-    /// separated so worker threads can fork it — see [`crate::link`].
+    /// separated so subset walks can borrow it beside the memos — see
+    /// [`crate::link`].
     links: LinkState,
     /// Dense subset memo (flat `2ⁿ` table), present iff the resolved
     /// strategy is dense. Exactly one of `memo_dense`/`memo_sparse` holds
@@ -276,18 +231,6 @@ pub struct SelectivityEstimator<'a> {
     /// Optional multidimensional SITs (§3.3's `SIT(x, X|Q)`), consulted by
     /// filter peels for carried-`H3` and filter-on-filter estimates.
     sit2: Option<&'a Sit2Catalog>,
-    /// Worker threads for the parallel dense fill (1 = serial). Set via
-    /// [`Self::with_dp_threads`]; ignored — with
-    /// [`FillStats::dp_threads_ignored`] raised — by the recursive and
-    /// beam engines, and under `Opt` mode (the oracle is inherently
-    /// sequential).
-    dp_threads: usize,
-    /// Which parallel fill runs when `dp_threads ≥ 2` (see
-    /// [`FillSchedule`]).
-    fill_schedule: FillSchedule,
-    /// Cumulative work-stealing fill instrumentation (see
-    /// [`Self::fill_stats`]).
-    fill_stats: FillStats,
     /// §3.4's optional SIT-driven pruning: when set, the subset loop skips
     /// atomic decompositions that no available SIT could improve.
     sit_driven: Option<Vec<(u32, u32)>>,
@@ -344,9 +287,6 @@ impl<'a> SelectivityEstimator<'a> {
             beam_depth: 0,
             oracle,
             sit2: None,
-            dp_threads: 1,
-            fill_schedule: FillSchedule::default(),
-            fill_stats: FillStats::default(),
             sit_driven: None,
             prune_table: None,
             shared: None,
@@ -372,27 +312,9 @@ impl<'a> SelectivityEstimator<'a> {
         self
     }
 
-    /// Sets the worker-thread count for the dense engine's parallel
-    /// lattice fill (the [`DpStrategy`]-level parallelism knob; `1` — the
-    /// default — keeps the fill serial). Under the default
-    /// [`FillSchedule::Auto`], components of [`WS_MIN_LATTICE_MASKS`] or
-    /// more lattice masks run the dependency-counted work-stealing fill
-    /// (see `DESIGN.md` §4h) and smaller ones stay serial; results are
-    /// **bit-identical** to the serial fill either way. `Opt` mode stays
-    /// serial regardless (its cardinality oracle is inherently
-    /// sequential), as do the recursive and beam engines — when one of
-    /// those runs with `threads ≥ 2` the knob is ignored and
-    /// [`FillStats::dp_threads_ignored`] is raised so the configuration
-    /// mismatch is observable.
-    pub fn with_dp_threads(mut self, threads: usize) -> Self {
-        self.dp_threads = threads.max(1);
-        self
-    }
-
-    /// Selects the parallel fill schedule (see [`FillSchedule`]); only
-    /// observable when `dp_threads ≥ 2`.
-    pub fn with_fill_schedule(mut self, schedule: FillSchedule) -> Self {
-        self.fill_schedule = schedule;
+    /// Kept only for the benchmark harness; the fill is always serial.
+    #[doc(hidden)]
+    pub fn with_dp_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -445,10 +367,8 @@ impl<'a> SelectivityEstimator<'a> {
     /// meter's deadline / work-quota / cancellation limits: use
     /// [`Self::try_get_selectivity`], which returns [`ExhaustReason`] when
     /// the meter trips mid-fill (the infallible [`Self::get_selectivity`]
-    /// panics in that case). Rank-parallel workers poll the same meter, so
-    /// one trip stops the whole fill cooperatively. Charging is amortized:
-    /// the deadline clock is consulted roughly once per thousand work
-    /// units, never per mask.
+    /// panics in that case). Charging is amortized: the deadline clock is
+    /// consulted roughly once per thousand work units, never per mask.
     pub fn with_budget_meter(mut self, meter: Arc<BudgetMeter>) -> Self {
         self.meter = Some(meter);
         self
@@ -547,8 +467,8 @@ impl<'a> SelectivityEstimator<'a> {
     pub fn stats(&self) -> EstimatorStats {
         EstimatorStats {
             // The peel path counts its view-matching calls in the link
-            // state (workers fork it); the matcher's own counter covers
-            // the remaining callers (e.g. Group-By estimation).
+            // state; the matcher's own counter covers the remaining
+            // callers (e.g. Group-By estimation).
             vm_calls: self.matcher.calls() + self.links.vm_calls,
             memo_entries: self
                 .memo_dense
@@ -557,14 +477,6 @@ impl<'a> SelectivityEstimator<'a> {
             peel_entries: self.peel_memo.len(),
             histogram_time: self.links.hist_time,
         }
-    }
-
-    /// Work-stealing fill instrumentation, cumulative over every parallel
-    /// component fill this estimator ran (all zeros when the fills stayed
-    /// serial or rank-synchronous). Feeds the scaling diagnostics in
-    /// `estimator_bench`.
-    pub fn fill_stats(&self) -> &FillStats {
-        &self.fill_stats
     }
 
     /// Most accurate selectivity estimate for the full query.
@@ -603,12 +515,6 @@ impl<'a> SelectivityEstimator<'a> {
         }
         if self.memo_dense.is_some() {
             return self.fill_dense(p);
-        }
-        if self.dp_threads >= 2 && self.fill_stats.dp_threads_ignored == 0 {
-            // The recursive and beam engines are serial: a configured
-            // thread knob buys nothing here. Surface it instead of
-            // silently ignoring it (the knob only drives dense fills).
-            self.fill_stats.dp_threads_ignored = 1;
         }
         if self.is_beam() {
             self.compute_beam(p)
@@ -669,36 +575,22 @@ impl<'a> SelectivityEstimator<'a> {
         Ok(result)
     }
 
-    /// Fills every subset of the non-separable component `comp`. The
-    /// work-stealing schedule (when engaged — see [`Self::steal_workers`])
-    /// orders masks by dependency counting; the serial and rank-barrier
-    /// paths fill in ascending popcount order. Either way each mask's
-    /// dependencies (its proper subsets) are complete before it is solved,
-    /// so every `Sel(Q)` the subset walk needs is a plain indexed load by
-    /// the time it is read.
+    /// Fills every subset of the non-separable component `comp` in
+    /// ascending popcount order: each mask's dependencies (its proper
+    /// subsets) sit in lower ranks, so every `Sel(Q)` the subset walk needs
+    /// is a plain indexed load by the time it is read.
     fn fill_component(&mut self, comp: PredSet) -> Result<(f64, f64), ExhaustReason> {
-        let stealers = self.steal_workers(comp);
-        if stealers >= 2 {
-            return self.fill_component_stealing(comp, stealers);
-        }
         for k in 1..=comp.len() {
-            let pending: Vec<PredSet> = {
+            for m in comp.subsets_of_size(k) {
                 let memo = self.memo_dense.as_ref().expect("dense engine active");
-                comp.subsets_of_size(k)
-                    .filter(|m| !memo.contains(m.0))
-                    .collect()
-            };
-            let workers = self.rank_workers(pending.len());
-            if workers >= 2 {
-                self.fill_rank_parallel(&pending, workers)?;
-            } else {
-                for &m in &pending {
-                    let result = self.solve_mask(m)?;
-                    self.memo_dense
-                        .as_mut()
-                        .expect("dense engine active")
-                        .set(m.0, result);
+                if memo.contains(m.0) {
+                    continue;
                 }
+                let result = self.solve_mask(m)?;
+                self.memo_dense
+                    .as_mut()
+                    .expect("dense engine active")
+                    .set(m.0, result);
             }
         }
         Ok(self
@@ -706,338 +598,31 @@ impl<'a> SelectivityEstimator<'a> {
             .expect("comp is its own final popcount rank"))
     }
 
-    /// Worker count for the work-stealing fill of `comp`, or `1` when the
-    /// fill should not steal: serial knob, `Opt` mode (the cardinality
-    /// oracle executes queries through `&mut` state), the rank-barrier
-    /// schedule, or — under [`FillSchedule::Auto`] — a component below the
-    /// [`WS_MIN_LATTICE_MASKS`] threshold, which runs serially instead of
-    /// oversubscribing (the satellite heuristic; measured rationale on the
-    /// constant).
-    fn steal_workers(&self, comp: PredSet) -> usize {
-        if self.dp_threads <= 1 || self.oracle.is_some() {
-            return 1;
-        }
-        let lattice = 1usize << comp.len();
-        match self.fill_schedule {
-            FillSchedule::RankBarrier => 1,
-            FillSchedule::WorkStealing => self.dp_threads.min(lattice.saturating_sub(1)).max(1),
-            FillSchedule::Auto => {
-                if lattice >= WS_MIN_LATTICE_MASKS {
-                    self.dp_threads.min(lattice / WS_MASKS_PER_WORKER)
-                } else {
-                    1
-                }
-            }
-        }
-    }
-
-    /// Worker count for one rank of the rank-barrier fill: the configured
-    /// thread knob, scaled down so every worker has at least
-    /// [`PAR_MIN_MASKS_PER_WORKER`] masks (tiny ranks stay serial), and
-    /// forced serial in `Opt` mode and under every other schedule (Auto's
-    /// small-component fallback is *serial*, not rank-parallel).
-    fn rank_workers(&self, pending: usize) -> usize {
-        if self.fill_schedule != FillSchedule::RankBarrier
-            || self.dp_threads <= 1
-            || self.oracle.is_some()
-        {
-            return 1;
-        }
-        self.dp_threads
-            .min(pending / PAR_MIN_MASKS_PER_WORKER)
-            .max(1)
-    }
-
-    /// Fills `comp`'s lattice with the dependency-counted work-stealing
-    /// scheduler (see [`crate::steal`] for the design and the memory-order
-    /// argument). Bit-identity with the serial fill holds for the same
-    /// reasons as the rank-barrier fill's — per-mask ownership, reads only
-    /// of completed dependencies, exactly-once peels through one
-    /// [`OnceMap`], pure forked link caches — with the rank barrier's
-    /// "memo holds exactly the ranks below" invariant replaced by the
-    /// dependency counts (a popped mask's every proper subset has
-    /// completed, by induction over the counter protocol).
-    ///
-    /// On a budget trip or worker panic the fill aborts and commits
-    /// **nothing** — no solved masks, no claimed peels — so the memo only
-    /// ever holds complete, exact values.
-    fn fill_component_stealing(
-        &mut self,
-        comp: PredSet,
-        workers: usize,
-    ) -> Result<(f64, f64), ExhaustReason> {
-        // Workers probe the component table read-only: pre-ensure every
-        // standard-decomposition chain any subset of comp may walk.
-        let mut s = comp.0;
-        while s != 0 {
-            let mut rest = PredSet(s);
-            while !rest.is_empty() {
-                rest = rest.minus(self.first_comp(rest));
-            }
-            s = (s - 1) & comp.0;
-        }
-        let sched = StealScheduler::new(comp.0, workers);
-        sched.seed();
-        let mut forks: Vec<LinkState> = (0..workers).map(|_| self.links.fork()).collect();
-        let once = OnceMap::new();
-        let meter_arc = self.meter.clone();
-        let locals: Mutex<Vec<WorkerStats>> = Mutex::new(Vec::with_capacity(workers));
-        {
-            let lc = link_ctx!(self);
-            let dense: &DenseMemo = self.memo_dense.as_ref().expect("dense engine active");
-            let comps: &ComponentTable = self.comp_table.as_ref().expect("dense engine active");
-            let prune: Option<&[u32]> = self.prune_table.as_deref();
-            let base_peel: &PeelMemo = &self.peel_memo;
-            let meter: Option<&BudgetMeter> = meter_arc.as_deref();
-            let (lc, once, sched, locals) = (&lc, &once, &sched, &locals);
-            std::thread::scope(|scope| {
-                for (w, st) in forks.iter_mut().enumerate() {
-                    scope.spawn(move || {
-                        let guard = AbortOnExit::new(sched);
-                        let mut stats = WorkerStats::default();
-                        let mut local = FlatMemo::new();
-                        let mut ready = Vec::new();
-                        let mut inline = Vec::new();
-                        let mut batch = Vec::new();
-                        'fill: loop {
-                            if sched.aborted() {
-                                break;
-                            }
-                            let popped = sched.pop(w).or_else(|| {
-                                let stolen = sched.steal(w);
-                                if stolen.is_some() {
-                                    stats.steals += 1;
-                                }
-                                stolen
-                            });
-                            let Some(first) = popped else {
-                                if sched.done() {
-                                    break;
-                                }
-                                stats.idle_spins += 1;
-                                std::thread::yield_now();
-                                continue;
-                            };
-                            // Process the popped mask, then any no-op
-                            // cascade it releases, off a local stack —
-                            // pre-memoized regions never touch the deques.
-                            inline.push(first);
-                            while let Some(cur) = inline.pop() {
-                                let mask = PredSet(cur);
-                                let value = match dense.get(cur) {
-                                    // Pre-memoized: publish the existing
-                                    // value so dependents can read it;
-                                    // solve nothing, charge nothing.
-                                    Some(v) => v,
-                                    None => {
-                                        let memo = |q: PredSet| Some(sched.value(q.0));
-                                        match par_solve_mask(
-                                            lc, st, &memo, comps, prune, base_peel, once,
-                                            &mut local, meter, mask,
-                                        ) {
-                                            Ok(v) => {
-                                                stats.solved += 1;
-                                                stats.rank_tasks[mask.len()] += 1;
-                                                v
-                                            }
-                                            Err(_) => {
-                                                // Trips are sticky on the
-                                                // shared meter; the reason
-                                                // is re-read after the
-                                                // scope joins.
-                                                sched.set_abort();
-                                                break 'fill;
-                                            }
-                                        }
-                                    }
-                                };
-                                sched.store(cur, value);
-                                stats.tasks += 1;
-                                sched.complete(cur, &mut ready);
-                                for r in ready.drain(..) {
-                                    if dense.contains(r) {
-                                        inline.push(r);
-                                    } else {
-                                        batch.push(r);
-                                    }
-                                }
-                                if !batch.is_empty() {
-                                    let depth = sched.push_batch(w, &batch);
-                                    stats.max_queue_depth = stats.max_queue_depth.max(depth as u64);
-                                    batch.clear();
-                                }
-                                sched.retire();
-                            }
-                        }
-                        locals
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .push(stats);
-                        guard.disarm();
-                    });
-                }
-            });
-        }
-        if let Some(reason) = meter_arc.as_deref().and_then(BudgetMeter::tripped) {
-            // Aborted fill: discard every solved mask and peel claim so
-            // the memo only ever holds complete, exact values.
-            return Err(reason);
-        }
-        for fork in forks {
-            self.links.absorb(fork);
-        }
-        self.fill_stats.parallel_fills += 1;
-        for stats in locals.into_inner().unwrap_or_else(PoisonError::into_inner) {
-            self.fill_stats.merge_worker(&stats);
-        }
-        // Commit every subset of comp in one pass. Pre-memoized masks
-        // republished their own dense value verbatim, so an unconditional
-        // set rewrites them bit-identically (and DenseMemo's occupancy
-        // count ignores overwrites).
-        let memo = self.memo_dense.as_mut().expect("dense engine active");
-        let mut m = comp.0;
-        while m != 0 {
-            memo.set(m, sched.value(m));
-            m = (m - 1) & comp.0;
-        }
-        once.drain(|key, value| self.peel_memo.insert(key, value));
-        Ok(self
-            .memo_get(comp)
-            .expect("the component root is the last scheduler node"))
-    }
-
     /// Solves one not-yet-memoized mask of the dense lattice, all proper
-    /// subsets already filled (the serial per-mask step).
+    /// subsets already filled.
     fn solve_mask(&mut self, m: PredSet) -> Result<(f64, f64), ExhaustReason> {
         crate::failpoint::fire("dp::solve_mask");
         if let Some(meter) = self.meter.as_deref() {
             meter.charge(1)?;
         }
-        if self.first_comp(m) != m {
-            // Separable submask: product over its components, all filled
-            // in earlier ranks.
-            let ct = self.comp_table.as_mut().expect("dense engine active");
-            let ctx = &self.ctx;
-            let memo_dense = &self.memo_dense;
-            Ok(separable_product(
-                |rest| ct.ensure(ctx, rest),
-                |c| memo_dense.as_ref().expect("dense engine active").get(c.0),
-                m,
-            ))
-        } else {
-            self.solve_nonseparable(m)
+        if self.first_comp(m) == m {
+            return self.solve_nonseparable(m);
         }
-    }
-
-    /// Solves one popcount rank of the dense lattice across scoped worker
-    /// threads — bit-identical to the serial fill by construction:
-    ///
-    /// * **per-mask ownership** — each mask's result goes to its own slot,
-    ///   claimed off an atomic cursor; no reductions, no shared
-    ///   accumulators, and the commit into the dense memo happens on this
-    ///   thread afterwards, in lattice order;
-    /// * **rank barrier** — workers only *read* the memo, which holds
-    ///   exactly the ranks `< k` (a mask's every dependency), so what a
-    ///   worker observes is independent of scheduling;
-    /// * **exactly-once peels** — new link values are computed under an
-    ///   [`OnceMap`] claim, keeping the computed-key set (and thus
-    ///   `peel_entries`/`vm_calls`) identical to the serial walk's;
-    /// * **pure link caches** — workers fork the link state; every cached
-    ///   value is a pure function of its key, so fork/absorb cannot change
-    ///   any result.
-    ///
-    /// Under a budget meter, every worker polls the same sticky trip flag:
-    /// the first trip makes all workers finish (or abandon) their current
-    /// mask and stop claiming new ones, waits on the [`OnceMap`] are
-    /// interrupted, and the whole rank returns `Err` without committing
-    /// anything — the memo never holds values from an aborted rank.
-    fn fill_rank_parallel(
-        &mut self,
-        pending: &[PredSet],
-        workers: usize,
-    ) -> Result<(), ExhaustReason> {
-        // Workers probe the component table read-only: pre-ensure every
-        // standard-decomposition chain they may walk.
-        for &m in pending {
-            let mut rest = m;
-            while !rest.is_empty() {
-                rest = rest.minus(self.first_comp(rest));
-            }
+        // Separable submask: product over its components, all filled in
+        // earlier ranks, multiplied in ascending first-component order.
+        let mut sel = 1.0;
+        let mut err = 0.0;
+        let mut rest = m;
+        while !rest.is_empty() {
+            let c = self.first_comp(rest);
+            rest = rest.minus(c);
+            let (s, e) = self
+                .memo_get(c)
+                .expect("component filled in an earlier popcount rank");
+            sel *= s;
+            err += e;
         }
-        let mut forks: Vec<LinkState> = (0..workers).map(|_| self.links.fork()).collect();
-        let slots: Vec<Mutex<Option<(f64, f64)>>> =
-            pending.iter().map(|_| Mutex::new(None)).collect();
-        let once = OnceMap::new();
-        let next = AtomicUsize::new(0);
-        let meter_arc = self.meter.clone();
-        {
-            let lc = link_ctx!(self);
-            let dense: &DenseMemo = self.memo_dense.as_ref().expect("dense engine active");
-            let comps: &ComponentTable = self.comp_table.as_ref().expect("dense engine active");
-            let prune: Option<&[u32]> = self.prune_table.as_deref();
-            let base_peel: &PeelMemo = &self.peel_memo;
-            let meter: Option<&BudgetMeter> = meter_arc.as_deref();
-            let (lc, once, next, slots) = (&lc, &once, &next, &slots);
-            std::thread::scope(|s| {
-                for st in forks.iter_mut() {
-                    s.spawn(move || {
-                        // Worker-local replica of this rank's published peel
-                        // values: repeat probes of a key stay lock-free, so
-                        // the shared map is touched at most once per
-                        // (worker, key) instead of once per probe.
-                        let mut local = FlatMemo::new();
-                        let memo = |q: PredSet| dense.get(q.0);
-                        loop {
-                            let idx = next.fetch_add(1, Ordering::Relaxed);
-                            if idx >= pending.len() {
-                                break;
-                            }
-                            match par_solve_mask(
-                                lc,
-                                st,
-                                &memo,
-                                comps,
-                                prune,
-                                base_peel,
-                                once,
-                                &mut local,
-                                meter,
-                                pending[idx],
-                            ) {
-                                Ok(r) => {
-                                    *slots[idx].lock().expect("result slot") = Some(r);
-                                }
-                                // Trips are sticky on the shared meter; the
-                                // reason is re-read after the scope joins.
-                                Err(_) => break,
-                            }
-                        }
-                    });
-                }
-            });
-        }
-        if let Some(reason) = meter_arc.as_deref().and_then(BudgetMeter::tripped) {
-            // Aborted rank: discard all partial slots and the rank's peel
-            // claims so the memo only ever holds complete, exact values.
-            return Err(reason);
-        }
-        // Rank barrier: commit results in lattice order, merge worker
-        // state, move freshly computed peels into the per-query memo so
-        // later ranks read them as plain hits.
-        let memo = self.memo_dense.as_mut().expect("dense engine active");
-        for (idx, &m) in pending.iter().enumerate() {
-            let r = slots[idx]
-                .lock()
-                .expect("result slot")
-                .take()
-                .expect("every pending mask solved");
-            memo.set(m.0, r);
-        }
-        for fork in forks {
-            self.links.absorb(fork);
-        }
-        once.drain(|key, value| self.peel_memo.insert(key, value));
-        Ok(())
+        Ok((sel, err))
     }
 
     /// Lines 9-17 for a non-separable mask on the dense engine: every
@@ -1046,42 +631,59 @@ impl<'a> SelectivityEstimator<'a> {
     /// tie-break as the recursion — bit-identical by construction.
     fn solve_nonseparable(&mut self, m: PredSet) -> Result<(f64, f64), ExhaustReason> {
         let lc = link_ctx!(self);
-        let memo_dense = &self.memo_dense;
-        let memo_sparse = &self.memo_sparse;
-        let memo = |q: PredSet| match memo_dense {
-            Some(d) => d.get(q.0),
-            None => memo_sparse.get(q.0 as u64),
-        };
+        let memo = self.memo_dense.as_ref().expect("dense engine active");
+        let prune = self.prune_table.as_deref();
         let peel_memo = &mut self.peel_memo;
         let links = &mut self.links;
         let oracle = &mut self.oracle;
         let meter = self.meter.as_deref();
-        solve_nonseparable_with(
-            m,
-            self.prune_table.as_deref(),
-            memo,
-            |p_prime, q| {
-                factor_with(
-                    [lc.ctx.joins_in(p_prime), lc.ctx.filters_in(p_prime)],
-                    p_prime,
-                    q,
-                    |i, cset| {
-                        let key = peel_key(i, cset.0);
-                        if let Some(r) = peel_memo.get(key) {
-                            return Ok(r);
-                        }
-                        let result = crate::link::compute_peel(&lc, links, oracle, i, cset);
-                        peel_memo.insert(key, result);
-                        if let Some(mt) = meter {
-                            // Sticky: the walk's next poll observes the trip.
-                            let _ = mt.charge(1);
-                        }
-                        Ok(result)
-                    },
-                )
-            },
-            abort_poll(meter),
-        )
+        let mut peel = |i: usize, cset: PredSet| {
+            let key = peel_key(i, cset.0);
+            if let Some(r) = peel_memo.get(key) {
+                return r;
+            }
+            let result = crate::link::compute_peel(&lc, links, oracle, i, cset);
+            peel_memo.insert(key, result);
+            if let Some(mt) = meter {
+                // Sticky: the walk's next poll observes the trip.
+                let _ = mt.charge(1);
+            }
+            result
+        };
+        let mut poll = abort_poll(meter);
+        let mut best_err = f64::INFINITY;
+        let mut best_sel = DEFAULT_RANGE_SEL.powi(m.len() as i32);
+        let mut iters = 0u32;
+        for p_prime in m.subsets() {
+            iters = iters.wrapping_add(1);
+            if iters.is_multiple_of(POLL_STRIDE) {
+                poll()?;
+            }
+            let q = m.minus(p_prime);
+            if let Some(table) = prune {
+                let keep = p_prime == m || table[q.0 as usize] & p_prime.0 != 0;
+                if !keep {
+                    continue;
+                }
+            }
+            let (sel_q, err_q) = if q.is_empty() {
+                (1.0, 0.0)
+            } else {
+                memo.get(q.0).expect("proper subsets fill in earlier ranks")
+            };
+            let (sel_f, err_f) = factor_with(
+                [lc.ctx.joins_in(p_prime), lc.ctx.filters_in(p_prime)],
+                p_prime,
+                q,
+                &mut peel,
+            );
+            let total = err_f + err_q;
+            if total < best_err {
+                best_err = total;
+                best_sel = (sel_f * sel_q).clamp(0.0, 1.0);
+            }
+        }
+        Ok((best_sel, best_err))
     }
 
     /// Subset-OR rollup of the §3.4 masks: `prune_table[q] = ⋃ {attr mask
@@ -1377,16 +979,12 @@ impl<'a> SelectivityEstimator<'a> {
     /// by expanding it into the implicit single-predicate chain (joins
     /// first, then filters, ascending index — see [`factor_with`]).
     fn factor(&mut self, p_prime: PredSet, q: PredSet) -> (f64, f64) {
-        let r: Result<(f64, f64), std::convert::Infallible> = factor_with(
+        factor_with(
             [self.ctx.joins_in(p_prime), self.ctx.filters_in(p_prime)],
             p_prime,
             q,
-            |i, cset| Ok(self.peel(i, cset)),
-        );
-        match r {
-            Ok(v) => v,
-            Err(e) => match e {},
-        }
+            |i, cset| self.peel(i, cset),
+        )
     }
 
     /// The atomic decomposition chain `getSelectivity` chose for `p` — a
@@ -1506,10 +1104,10 @@ impl<'a> SelectivityEstimator<'a> {
     }
 }
 
-/// Subset-walk iterations between budget polls inside
-/// [`solve_nonseparable_with`]. Together with [`abort_poll`]'s internal
-/// 1-in-16 clock stride, a deadline is observed about once per thousand
-/// submask iterations — low overhead, bounded overshoot.
+/// Subset-walk iterations between budget polls in the non-separable
+/// walks. Together with [`abort_poll`]'s internal 1-in-16 clock stride, a
+/// deadline is observed about once per thousand submask iterations — low
+/// overhead, bounded overshoot.
 const POLL_STRIDE: u32 = 64;
 
 /// Amortized abort check for subset walks: a relaxed sticky-trip load on
@@ -1528,67 +1126,17 @@ fn abort_poll(meter: Option<&BudgetMeter>) -> impl FnMut() -> Result<(), Exhaust
     }
 }
 
-/// Maximizes over every submask decomposition `m = P′ ∪ Q` (paper Fig. 3):
-/// best_err/best_sel over `factor(P′, Q) · memo(Q)`, with the same
-/// descending-submask walk, pruning test, and strict-`<` tie-break as the
-/// historical inline loop — shared verbatim by the serial and parallel
-/// fills so they cannot drift.
-///
-/// Fallibility: `factor` errors (an interrupted parallel peel wait) and
-/// `poll` errors (the amortized budget check, every [`POLL_STRIDE`]
-/// iterations) abort the walk; the partially accumulated argmin is
-/// discarded by construction because the `Err` propagates past every
-/// commit point.
-fn solve_nonseparable_with(
-    m: PredSet,
-    prune: Option<&[u32]>,
-    memo: impl Fn(PredSet) -> Option<(f64, f64)>,
-    mut factor: impl FnMut(PredSet, PredSet) -> Result<(f64, f64), ExhaustReason>,
-    mut poll: impl FnMut() -> Result<(), ExhaustReason>,
-) -> Result<(f64, f64), ExhaustReason> {
-    let mut best_err = f64::INFINITY;
-    let mut best_sel = DEFAULT_RANGE_SEL.powi(m.len() as i32);
-    let mut iters = 0u32;
-    for p_prime in m.subsets() {
-        iters = iters.wrapping_add(1);
-        if iters.is_multiple_of(POLL_STRIDE) {
-            poll()?;
-        }
-        let q = m.minus(p_prime);
-        if let Some(table) = prune {
-            let keep = p_prime == m || table[q.0 as usize] & p_prime.0 != 0;
-            if !keep {
-                continue;
-            }
-        }
-        let (sel_q, err_q) = if q.is_empty() {
-            (1.0, 0.0)
-        } else {
-            memo(q).expect("proper subsets fill in earlier ranks")
-        };
-        let (sel_f, err_f) = factor(p_prime, q)?;
-        let total = err_f + err_q;
-        if total < best_err {
-            best_err = total;
-            best_sel = (sel_f * sel_q).clamp(0.0, 1.0);
-        }
-    }
-    Ok((best_sel, best_err))
-}
-
 /// Expands `Sel(P′|Q)` into the implicit single-predicate chain: peels
 /// joins first, then filters, each group in ascending index order —
 /// iterating the mask bits directly. `groups` is
 /// `[joins_in(P′), filters_in(P′)]`, passed pre-split so callers borrow the
-/// query context outside the `peel` closure. Generic over the peel error
-/// so the serial paths instantiate it with `Infallible` while the parallel
-/// fill threads claim interruptions through.
-fn factor_with<E>(
+/// query context outside the `peel` closure.
+fn factor_with(
     groups: [PredSet; 2],
     p_prime: PredSet,
     q: PredSet,
-    mut peel: impl FnMut(usize, PredSet) -> Result<(f64, f64), E>,
-) -> Result<(f64, f64), E> {
+    mut peel: impl FnMut(usize, PredSet) -> (f64, f64),
+) -> (f64, f64) {
     let mut remaining = p_prime;
     let mut sel = 1.0;
     let mut err = 0.0;
@@ -1599,135 +1147,12 @@ fn factor_with<E>(
             bits &= bits - 1;
             remaining = remaining.minus(PredSet::singleton(i));
             let cset = q.union(remaining);
-            let (s, e) = peel(i, cset)?;
+            let (s, e) = peel(i, cset);
             sel *= s;
             err += e;
         }
     }
-    Ok((sel.clamp(0.0, 1.0), err))
-}
-
-/// Multiplies the memoized results of a separable mask's connected
-/// components, in ascending first-component order — the product order both
-/// fills share.
-fn separable_product(
-    mut first: impl FnMut(PredSet) -> PredSet,
-    memo: impl Fn(PredSet) -> Option<(f64, f64)>,
-    m: PredSet,
-) -> (f64, f64) {
-    let mut sel = 1.0;
-    let mut err = 0.0;
-    let mut rest = m;
-    while !rest.is_empty() {
-        let c = first(rest);
-        rest = rest.minus(c);
-        let (s, e) = memo(c).expect("component filled in an earlier popcount rank");
-        sel *= s;
-        err += e;
-    }
-    (sel, err)
-}
-
-/// One worker's computation of one mask: the same
-/// separable-product / nonseparable-decomposition split as
-/// [`SelectivityEstimator::solve_mask`], reading completed-dependency memo
-/// values through the caller's `memo` closure (the rank-barrier fill reads
-/// the dense memo, which holds exactly the lower ranks; the work-stealing
-/// fill reads the scheduler's published-value arrays) and routing peel
-/// links through the exactly-once [`OnceMap`].
-#[allow(clippy::too_many_arguments)]
-fn par_solve_mask(
-    lc: &LinkCtx,
-    st: &mut LinkState,
-    memo: &impl Fn(PredSet) -> Option<(f64, f64)>,
-    comps: &crate::decomposition::ComponentTable,
-    prune: Option<&[u32]>,
-    base_peel: &PeelMemo,
-    once: &OnceMap,
-    local: &mut FlatMemo,
-    meter: Option<&BudgetMeter>,
-    m: PredSet,
-) -> Result<(f64, f64), ExhaustReason> {
-    crate::failpoint::fire("dp::solve_mask");
-    if let Some(mt) = meter {
-        mt.charge(1)?;
-    }
-    let fc = comps.get(m).expect("chain pre-ensured before the fill");
-    if fc != m {
-        Ok(separable_product(
-            |rest| comps.get(rest).expect("chain pre-ensured before the fill"),
-            memo,
-            m,
-        ))
-    } else {
-        solve_nonseparable_with(
-            m,
-            prune,
-            memo,
-            |p_prime, q| {
-                factor_with(
-                    [lc.ctx.joins_in(p_prime), lc.ctx.filters_in(p_prime)],
-                    p_prime,
-                    q,
-                    |i, cset| par_peel(lc, st, base_peel, once, local, meter, i, cset),
-                )
-            },
-            abort_poll(meter),
-        )
-    }
-}
-
-/// Parallel peel: fill-start memo snapshot first, then the worker-local
-/// replica (both lock-free), then the fill's [`OnceMap`] — the claiming
-/// worker computes, everyone else reuses, so the set of computed peel keys
-/// matches the serial fill exactly.
-///
-/// A wait on another worker's in-flight computation is interrupted as soon
-/// as the shared meter trips; a poisoned slot (the claimant panicked)
-/// re-panics here so the scope join propagates one coherent panic instead
-/// of waiters hanging or silently recomputing.
-#[allow(clippy::too_many_arguments)]
-fn par_peel(
-    lc: &LinkCtx,
-    st: &mut LinkState,
-    base_peel: &PeelMemo,
-    once: &OnceMap,
-    local: &mut FlatMemo,
-    meter: Option<&BudgetMeter>,
-    i: usize,
-    cset: PredSet,
-) -> Result<(f64, f64), ExhaustReason> {
-    let key = peel_key(i, cset.0);
-    if let Some(r) = base_peel.get(key) {
-        return Ok(r);
-    }
-    if let Some(r) = local.get(key) {
-        return Ok(r);
-    }
-    let tripped = || meter.is_some_and(|m| m.tripped().is_some());
-    let result = match once.claim(key, tripped) {
-        Ok(Claim::Ready(v)) => v,
-        Ok(Claim::Owned(guard)) => {
-            // A panic in compute_peel (or an armed publish failpoint)
-            // drops `guard` unpublished, poisoning the slot for waiters.
-            let result = crate::link::compute_peel(lc, st, &mut None, i, cset);
-            if let Some(mt) = meter {
-                let _ = mt.charge(1);
-            }
-            guard.publish(result);
-            result
-        }
-        Err(ClaimError::Interrupted) => {
-            return Err(meter
-                .and_then(BudgetMeter::tripped)
-                .unwrap_or(ExhaustReason::Cancelled));
-        }
-        Err(ClaimError::Poisoned) => {
-            panic!("peel computation panicked in a sibling worker (key {key:#x})")
-        }
-    };
-    local.insert(key, result);
-    Ok(result)
+    (sel.clamp(0.0, 1.0), err)
 }
 
 /// The distinct attributes mentioned by a query's predicates, in first-use

@@ -16,7 +16,7 @@
 //! Env syntax (entries separated by `;` or `,`):
 //!
 //! ```text
-//! SQE_FAILPOINTS="par::publish=panic;persist::save=error%7#3;dp::solve_mask=sleep(2)"
+//! SQE_FAILPOINTS="pessimistic::bound=panic;persist::save=error%7#3;dp::solve_mask=sleep(2)"
 //! ```
 //!
 //! `name=action[%K][#N]` arms `name` with `action` (one of `panic`,
@@ -30,6 +30,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
+use std::thread::ThreadId;
 use std::time::Duration;
 
 /// What an armed failpoint does when execution reaches it.
@@ -52,6 +53,8 @@ struct FpState {
     remaining: Option<u32>,
     /// Per-site deterministic xorshift state for the 1/K coin.
     rng: u64,
+    /// The only thread the site fires on (`None` = every thread).
+    owner: Option<ThreadId>,
 }
 
 /// Count of armed sites — the hot-path gate. Maintained equal to
@@ -77,6 +80,33 @@ pub fn arm(name: &str, action: Action) {
 /// (clamped to ≥1), at most `limit` times, with `seed` driving the
 /// deterministic coin.
 pub fn arm_with(name: &str, action: Action, one_in: u32, limit: Option<u32>, seed: u64) {
+    arm_entry(name, action, one_in, limit, seed, None);
+}
+
+/// [`arm_with`] restricted to the calling thread: the site fires only when
+/// the thread that armed it reaches it, so tests running beside it in the
+/// same process pass through untouched. It covers work the caller runs
+/// itself (an estimator fills its lattice on the calling thread), not work
+/// handed to other threads such as the service's batch pool.
+pub fn arm_on_current_thread(
+    name: &str,
+    action: Action,
+    one_in: u32,
+    limit: Option<u32>,
+    seed: u64,
+) {
+    let owner = Some(std::thread::current().id());
+    arm_entry(name, action, one_in, limit, seed, owner);
+}
+
+fn arm_entry(
+    name: &str,
+    action: Action,
+    one_in: u32,
+    limit: Option<u32>,
+    seed: u64,
+    owner: Option<ThreadId>,
+) {
     let mut reg = registry();
     reg.insert(
         name.to_string(),
@@ -86,6 +116,7 @@ pub fn arm_with(name: &str, action: Action, one_in: u32, limit: Option<u32>, see
             remaining: limit,
             // xorshift must never be seeded with 0.
             rng: seed | 1,
+            owner,
         },
     );
     ARMED.store(reg.len(), Ordering::Release);
@@ -207,7 +238,7 @@ fn decide(name: &str) -> Decision {
     let Some(fp) = reg.get_mut(name) else {
         return Decision::Nothing;
     };
-    if fp.remaining == Some(0) {
+    if fp.remaining == Some(0) || fp.owner.is_some_and(|t| t != std::thread::current().id()) {
         return Decision::Nothing;
     }
     if fp.one_in > 1 {
@@ -321,6 +352,19 @@ mod tests {
         assert!(fire_err("twice").is_err());
         assert!(fire_err("twice").is_err());
         assert!(fire_err("twice").is_ok());
+        disarm_all();
+    }
+
+    #[test]
+    fn thread_armed_site_fires_only_on_its_thread() {
+        let _g = serial();
+        disarm_all();
+        arm_on_current_thread("mine", Action::Error, 1, None, 7);
+        let other = std::thread::spawn(|| fire_err("mine").is_ok())
+            .join()
+            .unwrap();
+        assert!(other, "another thread passes through");
+        assert!(fire_err("mine").is_err(), "the arming thread fires");
         disarm_all();
     }
 

@@ -109,7 +109,6 @@ pub struct Ladder<'a> {
     catalog: &'a SitCatalog,
     mode: ErrorMode,
     strategy: DpStrategy,
-    dp_threads: usize,
     pruning: bool,
     beam: BeamConfig,
     sit2: Option<&'a Sit2Catalog>,
@@ -128,7 +127,6 @@ impl<'a> Ladder<'a> {
             catalog,
             mode,
             strategy: DpStrategy::Auto,
-            dp_threads: 1,
             pruning: false,
             beam: BeamConfig::default(),
             sit2: None,
@@ -170,9 +168,9 @@ impl<'a> Ladder<'a> {
         self
     }
 
-    /// Worker threads for the dense rank-parallel fill.
-    pub fn with_dp_threads(mut self, threads: usize) -> Self {
-        self.dp_threads = threads.max(1);
+    /// Kept only for the benchmark harness; the fill is always serial.
+    #[doc(hidden)]
+    pub fn with_dp_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -212,8 +210,7 @@ impl<'a> Ladder<'a> {
     ) -> SelectivityEstimator<'a> {
         let mut est = SelectivityEstimator::new(self.db, query, self.catalog, self.mode)
             .with_strategy(strategy)
-            .with_beam_config(self.beam)
-            .with_dp_threads(self.dp_threads);
+            .with_beam_config(self.beam);
         if let Some(s2) = self.sit2 {
             est = est.with_sit2_catalog(s2);
         }

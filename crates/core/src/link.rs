@@ -1,21 +1,18 @@
 //! Per-link conditional-factor evaluation, factored out of the estimator
-//! so it can run both on the estimator's own state (serial engines) and on
-//! per-worker forks of that state (the rank-parallel dense fill).
+//! so a subset walk can borrow the read-only query state and the mutable
+//! peel state at the same time.
 //!
 //! The split follows the data: everything a peel *reads* is immutable for
 //! the lifetime of one `get_selectivity` call and lives in [`LinkCtx`]
-//! (plain `&` references — `Copy`, `Sync`); everything a peel *writes* is
-//! pure memoization keyed by value-determined keys and lives in
-//! [`LinkState`]. Because every cached value is a pure function of its key
-//! (histogram products, per-predicate range estimates, divergences), a
-//! forked `LinkState` computes bit-identical values to the original, and
-//! merging forks back ([`LinkState::absorb`]) cannot change any future
-//! result — at worst a value is recomputed instead of reused.
+//! (plain `&` references, `Copy`); everything a peel *writes* is pure
+//! memoization keyed by value-determined keys and lives in [`LinkState`].
+//! Every cached value is a pure function of its key (histogram products,
+//! per-predicate range estimates, divergences), so a cache hit and a
+//! recomputation give the same bits.
 //!
 //! The one stateful exception is the `Opt`-mode cardinality oracle, which
 //! executes queries through `&mut` state; it is threaded through explicitly
-//! as `&mut Option<CardinalityOracle>` and the estimator never runs the
-//! parallel fill in `Opt` mode (see `rank_workers`).
+//! as `&mut Option<CardinalityOracle>`.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -45,8 +42,7 @@ pub(crate) type CandIndex = HashMap<ColRef, Vec<(SitId, u32)>>;
 
 /// The immutable context one peel evaluation reads: the query, the
 /// catalogs, the precomputed candidate indexes, and the optional shared
-/// cross-query cache. All references — `Copy` and `Sync`, so worker
-/// threads share one value.
+/// cross-query cache. All references, so the value is `Copy`.
 #[derive(Clone, Copy)]
 pub(crate) struct LinkCtx<'e> {
     pub db: &'e Database,
@@ -89,7 +85,7 @@ impl Scratch {
 
 /// The mutable memoization state of peel evaluation: value caches keyed by
 /// ids/predicates (pure functions of their keys) plus the instrumentation
-/// counters. Fork one per worker thread; absorb the forks afterwards.
+/// counters.
 #[derive(Debug, Default)]
 pub(crate) struct LinkState {
     /// Filter selectivity per `(SIT, predicate index)` — the same SIT
@@ -123,36 +119,6 @@ pub(crate) struct LinkState {
 impl LinkState {
     pub fn new() -> Self {
         LinkState::default()
-    }
-
-    /// A worker-thread copy: warm value caches, zeroed counters (so
-    /// absorbing the fork adds exactly the work the worker did).
-    pub fn fork(&self) -> Self {
-        LinkState {
-            filter_sel_cache: self.filter_sel_cache.clone(),
-            h3_sel_cache: self.h3_sel_cache.clone(),
-            join_cache: self.join_cache.clone(),
-            h3_cache: self.h3_cache.clone(),
-            carry_cache: self.carry_cache.clone(),
-            cond2_cache: self.cond2_cache.clone(),
-            hist_time: Duration::ZERO,
-            vm_calls: 0,
-            scratch: Scratch::default(),
-        }
-    }
-
-    /// Merges a fork back. Cache values are pure functions of their keys,
-    /// so overwrite order between forks is irrelevant; counters add.
-    /// Scratch arenas are per-peel transients and are deliberately dropped.
-    pub fn absorb(&mut self, other: LinkState) {
-        self.filter_sel_cache.extend(other.filter_sel_cache);
-        self.h3_sel_cache.extend(other.h3_sel_cache);
-        self.join_cache.extend(other.join_cache);
-        self.h3_cache.extend(other.h3_cache);
-        self.carry_cache.extend(other.carry_cache);
-        self.cond2_cache.extend(other.cond2_cache);
-        self.hist_time += other.hist_time;
-        self.vm_calls += other.vm_calls;
     }
 }
 

@@ -320,7 +320,6 @@ fn budgeted_estimate(
 ) -> sqe_core::BudgetedEstimate {
     let mut ladder = Ladder::new(&sc.db, pool, spec.mode)
         .with_strategy(DpStrategy::Dense)
-        .with_dp_threads(1)
         .with_backend(Arc::clone(backend));
     if spec.pruned {
         ladder = ladder.with_sit_driven_pruning();

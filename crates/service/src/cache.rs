@@ -8,8 +8,8 @@
 //! keys land on the same shard. Hit/miss/insert/evict counters are relaxed
 //! atomics — they are monitoring data, not synchronization.
 
-use std::collections::hash_map::RandomState;
-use std::hash::{BuildHasher, Hash};
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use parking_lot::Mutex;
@@ -44,8 +44,11 @@ struct Shard {
 /// outlive the catalog that defines them.
 pub struct ShardedCache {
     shards: Box<[Mutex<Shard>]>,
-    /// Fixed hasher so one key always maps to one shard.
-    hasher: RandomState,
+    /// Fixed-key hasher: one key maps to one shard in every cache and every
+    /// process, so which entries share a shard — and therefore which get
+    /// evicted — is reproducible run to run. (Each shard's [`LruMap`] keeps
+    /// its own randomly seeded index.)
+    hasher: BuildHasherDefault<DefaultHasher>,
     mask: usize,
     /// Set when a request panicked mid-estimate against this snapshot:
     /// the cache can no longer prove which writes the dying estimator
@@ -78,7 +81,7 @@ impl ShardedCache {
             .into_boxed_slice();
         ShardedCache {
             shards,
-            hasher: RandomState::new(),
+            hasher: BuildHasherDefault::default(),
             mask: count - 1,
             quarantined: AtomicBool::new(false),
             hits: AtomicU64::new(0),
@@ -355,6 +358,26 @@ mod tests {
         assert!(cache.get_h3(pair).is_none());
         cache.put_h3(pair, (Histogram::default(), 0.75));
         assert_eq!(cache.get_h3(pair).unwrap().1, 0.75);
+    }
+
+    #[test]
+    fn caches_built_alike_pick_the_same_shard_per_key() {
+        let a = ShardedCache::new(16, 8);
+        let b = ShardedCache::new(16, 8);
+        let index = |cache: &ShardedCache, k: &CacheKey| {
+            let shard = cache.shard_for(k);
+            cache
+                .shards
+                .iter()
+                .position(|s| std::ptr::eq(s, shard))
+                .expect("shard_for returns one of the cache's shards")
+        };
+        let picks: Vec<usize> = (0..256).map(|i| index(&a, &key(i))).collect();
+        for (i, &pick) in picks.iter().enumerate() {
+            assert_eq!(pick, index(&b, &key(i as i64)), "key {i}");
+        }
+        // The keys really spread: a constant shard would pass trivially.
+        assert!(picks.iter().any(|&p| p != picks[0]));
     }
 
     #[test]

@@ -20,39 +20,18 @@ use crate::admission::AdmissionControl;
 use crate::cache::ShardedCache;
 use crate::stats::{ServiceStats, ServiceStatsSnapshot};
 
-/// How many worker threads each estimator's dense DP fill gets
-/// (`SelectivityEstimator::with_dp_threads`).
-///
-/// This is the *outer* knob; the estimator's own `FillSchedule::Auto`
-/// heuristic still decides per component whether those threads are worth
-/// using — components below `sqe_core::WS_MIN_LATTICE_MASKS` lattice masks
-/// run serially even under `Auto`/`Fixed`, because the committed
-/// measurements show fork/steal overhead dominating there (see `DESIGN.md`
-/// §4h).
+/// Kept only for the benchmark harness: the DP fill is always serial.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DpThreadsMode {
-    /// Serial fill — the right default when `batch_threads` already
-    /// saturates the host, since the two thread layers multiply.
     #[default]
     Serial,
-    /// Exactly this many fill workers per estimator.
-    Fixed(NonZeroUsize),
-    /// One fill worker per available core
-    /// ([`std::thread::available_parallelism`]); single-core hosts resolve
-    /// to the serial fill.
-    Auto,
 }
 
 impl DpThreadsMode {
-    /// The concrete thread count to hand the estimator.
+    /// Always `1`.
     pub fn resolve(self) -> usize {
-        match self {
-            DpThreadsMode::Serial => 1,
-            DpThreadsMode::Fixed(n) => n.get(),
-            DpThreadsMode::Auto => {
-                std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
-            }
-        }
+        1
     }
 }
 
@@ -82,9 +61,8 @@ pub struct ServiceConfig {
     /// sequential path. Parallel batches are bit-identical to sequential
     /// ones (see the `estimate_batch` docs).
     pub batch_threads: Option<NonZeroUsize>,
-    /// Threads for each estimator's parallel dense DP fill (see
-    /// [`DpThreadsMode`]). Every mode is bit-identical to the serial fill;
-    /// only speed differs.
+    /// Kept only for the benchmark harness; has no effect.
+    #[doc(hidden)]
     pub dp_threads: DpThreadsMode,
     /// Admission bound for the *budgeted* endpoints
     /// ([`EstimationService::estimate_with_budget`] and its batch
@@ -620,7 +598,6 @@ impl EstimationService {
                 )
                 .with_strategy(self.config.dp_strategy)
                 .with_beam_config(self.config.beam)
-                .with_dp_threads(self.config.dp_threads.resolve())
                 .with_backend(Arc::clone(&snapshot.backend));
                 if !routed {
                     // Beam-routed widths skip the link cache too: the
@@ -838,7 +815,6 @@ impl EstimationService {
                     .with_metrics(&*self.metrics)
                     .with_strategy(self.config.dp_strategy)
                     .with_beam_config(self.config.beam)
-                    .with_dp_threads(self.config.dp_threads.resolve())
                     .with_backend(Arc::clone(&snapshot.backend))
                     .with_shared_cache(&snapshot.cache);
                 if let Some(sit2) = &snapshot.sit2 {
@@ -1212,7 +1188,15 @@ mod tests {
         let svc = service(&db);
         let q = query(1);
         let epoch0 = svc.snapshot().epoch();
-        sqe_core::failpoint::arm("dp::solve_mask", sqe_core::failpoint::Action::Panic);
+        // The ladder runs on this thread; sibling tests passing through
+        // the site on theirs are unaffected.
+        sqe_core::failpoint::arm_on_current_thread(
+            "dp::solve_mask",
+            sqe_core::failpoint::Action::Panic,
+            1,
+            None,
+            1,
+        );
         let held = svc.snapshot();
         let e = svc
             .estimate_with_budget(&q, &Budget::unlimited())

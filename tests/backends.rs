@@ -80,20 +80,16 @@ fn query() -> impl Strategy<Value = SpjQuery> {
 
 /// Whole-lattice bits plus the instrumentation counters, with an optional
 /// explicit backend (`None` = the default construction path).
-#[allow(clippy::too_many_arguments)]
 fn lattice_with_stats(
     db: &Database,
     q: &SpjQuery,
     catalog: &SitCatalog,
     mode: ErrorMode,
     strategy: DpStrategy,
-    threads: usize,
     pruning: bool,
     backend: Option<&Arc<dyn SelectivityBackend>>,
 ) -> (Vec<(u64, u64)>, (usize, usize, u64)) {
-    let mut est = SelectivityEstimator::new(db, q, catalog, mode)
-        .with_strategy(strategy)
-        .with_dp_threads(threads);
+    let mut est = SelectivityEstimator::new(db, q, catalog, mode).with_strategy(strategy);
     if let Some(b) = backend {
         est = est.with_backend(Arc::clone(b));
     }
@@ -120,8 +116,7 @@ proptest! {
     /// The tentpole refactor's bit-identity contract: an explicit
     /// [`DiffBackend`] changes nothing — not the `(sel, err)` bits of any
     /// lattice mask, and not the memo/peel/view-matching counts — under
-    /// either exact engine, any thread count, either mode, with and
-    /// without §3.4 pruning.
+    /// either exact engine, either mode, with and without §3.4 pruning.
     #[test]
     fn explicit_diff_backend_is_bit_identical_to_default(
         db in small_db(),
@@ -133,20 +128,13 @@ proptest! {
             .expect("pool build");
         let diff: Arc<dyn SelectivityBackend> = Arc::new(DiffBackend);
         for mode in [ErrorMode::NInd, ErrorMode::Diff] {
-            for (strategy, threads) in [
-                (DpStrategy::Dense, 1),
-                (DpStrategy::Dense, 2),
-                (DpStrategy::Dense, 8),
-                (DpStrategy::Recursive, 1),
-            ] {
-                let (base_bits, base_stats) = lattice_with_stats(
-                    &db, &q, &catalog, mode, strategy, threads, pruning, None,
-                );
-                let (bits, stats) = lattice_with_stats(
-                    &db, &q, &catalog, mode, strategy, threads, pruning, Some(&diff),
-                );
-                prop_assert_eq!(&bits, &base_bits, "{:?} x{} {:?}", strategy, threads, mode);
-                prop_assert_eq!(stats, base_stats, "{:?} x{} {:?}", strategy, threads, mode);
+            for strategy in [DpStrategy::Dense, DpStrategy::Recursive] {
+                let (base_bits, base_stats) =
+                    lattice_with_stats(&db, &q, &catalog, mode, strategy, pruning, None);
+                let (bits, stats) =
+                    lattice_with_stats(&db, &q, &catalog, mode, strategy, pruning, Some(&diff));
+                prop_assert_eq!(&bits, &base_bits, "{:?} {:?}", strategy, mode);
+                prop_assert_eq!(stats, base_stats, "{:?} {:?}", strategy, mode);
             }
         }
     }
@@ -174,11 +162,10 @@ proptest! {
     }
 
     /// A non-default backend must still be engine-independent: the BN
-    /// backend intercepts filter peels, and Dense (serial and threaded)
-    /// must agree with Recursive bit for bit over the whole lattice with
-    /// it installed.
+    /// backend intercepts filter peels, and Dense must agree with Recursive
+    /// bit for bit over the whole lattice with it installed.
     #[test]
-    fn bn_backend_is_engine_and_schedule_independent(
+    fn bn_backend_is_engine_independent(
         db in small_db(),
         q in query(),
         pruning in any::<bool>(),
@@ -189,14 +176,11 @@ proptest! {
             Arc::new(BnBackend::new(Arc::new(BnCatalog::build(&db))));
         for mode in [ErrorMode::NInd, ErrorMode::Diff] {
             let (rec, _) = lattice_with_stats(
-                &db, &q, &catalog, mode, DpStrategy::Recursive, 1, pruning, Some(&bn),
+                &db, &q, &catalog, mode, DpStrategy::Recursive, pruning, Some(&bn),
             );
-            for threads in [1, 2, 8] {
-                let (dense, _) = lattice_with_stats(
-                    &db, &q, &catalog, mode, DpStrategy::Dense, threads, pruning, Some(&bn),
-                );
-                prop_assert_eq!(&dense, &rec, "bn dense x{} vs recursive, {:?}", threads, mode);
-            }
+            let (dense, _) =
+                lattice_with_stats(&db, &q, &catalog, mode, DpStrategy::Dense, pruning, Some(&bn));
+            prop_assert_eq!(&dense, &rec, "bn dense vs recursive, {:?}", mode);
         }
     }
 }
@@ -246,28 +230,25 @@ fn diff_backend_identity_survives_armed_failpoints() {
         .with_strategy(DpStrategy::Dense);
     let (ss, se) = base.get_selectivity(base.context().all());
 
-    for site in ["dp::solve_mask", "par::publish"] {
-        failpoint::arm_with(site, Action::Panic, 64, None, 9);
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let mut est = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff)
-                .with_strategy(DpStrategy::Dense)
-                .with_dp_threads(4)
-                .with_backend(Arc::new(DiffBackend));
-            est.get_selectivity(est.context().all())
-        }));
-        failpoint::disarm(site);
-        if let Ok((s, e)) = outcome {
-            assert_eq!(s.to_bits(), ss.to_bits(), "{site}: survived arm");
-            assert_eq!(e.to_bits(), se.to_bits(), "{site}: survived arm");
-        }
-        let mut fresh = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff)
+    let site = "dp::solve_mask";
+    failpoint::arm_on_current_thread(site, Action::Panic, 64, None, 9);
+    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        let mut est = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff)
             .with_strategy(DpStrategy::Dense)
-            .with_dp_threads(4)
             .with_backend(Arc::new(DiffBackend));
-        let (fs, fe) = fresh.get_selectivity(fresh.context().all());
-        assert_eq!(fs.to_bits(), ss.to_bits(), "{site}: fresh after chaos");
-        assert_eq!(fe.to_bits(), se.to_bits(), "{site}: fresh after chaos");
+        est.get_selectivity(est.context().all())
+    }));
+    failpoint::disarm(site);
+    if let Ok((s, e)) = outcome {
+        assert_eq!(s.to_bits(), ss.to_bits(), "survived arm");
+        assert_eq!(e.to_bits(), se.to_bits(), "survived arm");
     }
+    let mut fresh = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff)
+        .with_strategy(DpStrategy::Dense)
+        .with_backend(Arc::new(DiffBackend));
+    let (fs, fe) = fresh.get_selectivity(fresh.context().all());
+    assert_eq!(fs.to_bits(), ss.to_bits(), "fresh after chaos");
+    assert_eq!(fe.to_bits(), se.to_bits(), "fresh after chaos");
 }
 
 /// Budget cancellation through the backend seam: a half-sized quota trips

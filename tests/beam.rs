@@ -255,32 +255,6 @@ fn beam_matches_recursive_at_n12_and_reports_bounded_work() {
     }
 }
 
-/// The serial-only engines raise [`sqe::core::FillStats::dp_threads_ignored`]
-/// when asked for DP parallelism they cannot use, instead of silently
-/// dropping the knob (the historical `Recursive` behavior).
-#[test]
-fn serial_engines_flag_ignored_dp_threads() {
-    let (db, q) = chain_db_and_query();
-    let catalog = build_pool(&db, std::slice::from_ref(&q), PoolSpec::ji(1)).unwrap();
-    for strategy in [DpStrategy::Recursive, DpStrategy::Beam] {
-        let mut est = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff)
-            .with_strategy(strategy)
-            .with_dp_threads(4);
-        let _ = est.get_selectivity(est.context().all());
-        assert_eq!(
-            est.fill_stats().dp_threads_ignored,
-            1,
-            "{strategy:?} must surface the ignored knob"
-        );
-    }
-    // The dense engine honors the knob, so the flag stays clear.
-    let mut dense = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff)
-        .with_strategy(DpStrategy::Dense)
-        .with_dp_threads(4);
-    let _ = dense.get_selectivity(dense.context().all());
-    assert_eq!(dense.fill_stats().dp_threads_ignored, 0);
-}
-
 /// Armed `dp::solve_mask` failpoints under the beam walk: a panic either
 /// propagates cleanly (nothing half-committed) or never fires — and then
 /// the answer must still be bit-exact. A fresh estimator afterwards is
@@ -294,7 +268,7 @@ fn beam_survives_armed_failpoints() {
         .with_strategy(DpStrategy::Recursive);
     let (ss, se) = serial.get_selectivity(serial.context().all());
 
-    failpoint::arm_with("dp::solve_mask", Action::Panic, 64, None, 7);
+    failpoint::arm_on_current_thread("dp::solve_mask", Action::Panic, 64, None, 7);
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
         let mut est = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff)
             .with_strategy(DpStrategy::Beam)

@@ -82,9 +82,6 @@ fn chaos_service(db: &Arc<Database>, catalog: SitCatalog) -> EstimationService {
         Arc::clone(db),
         catalog,
         ServiceConfig {
-            // Two layers of parallelism so the chaos load exercises the
-            // parallel fill (and its OnceMap poisoning) too.
-            dp_threads: DpThreadsMode::Fixed(std::num::NonZeroUsize::new(2).unwrap()),
             batch_threads: std::num::NonZeroUsize::new(2),
             max_in_flight: 16,
             ..ServiceConfig::default()
@@ -136,7 +133,6 @@ fn randomized_faults_never_hang_poison_or_mislabel() {
 
     // Arm the whole failpoint surface at low, deterministic rates.
     failpoint::arm_with("dp::solve_mask", Action::Panic, 512, None, 11);
-    failpoint::arm_with("par::publish", Action::Panic, 256, None, 22);
     failpoint::arm_with("service::cache_insert", Action::Sleep(1), 64, None, 33);
     failpoint::arm_with("service::install", Action::Sleep(1), 4, None, 44);
 

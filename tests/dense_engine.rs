@@ -4,13 +4,8 @@
 //! exact same `(selectivity, error)` bits for **every** predicate subset,
 //! under both error modes, with and without a cross-query shared cache.
 
-use std::panic::AssertUnwindSafe;
-use std::sync::Arc;
-
 use proptest::prelude::*;
 
-use sqe::core::failpoint::{self, Action};
-use sqe::core::{BudgetMeter, FillSchedule};
 use sqe::engine::table::TableBuilder;
 use sqe::prelude::*;
 use sqe::service::ShardedCache;
@@ -72,54 +67,7 @@ fn lattice_bits(
     cache: Option<&ShardedCache>,
     pruning: bool,
 ) -> Vec<(u64, u64)> {
-    lattice_bits_threaded(db, q, catalog, mode, strategy, cache, pruning, 1)
-}
-
-/// [`lattice_bits`] with an explicit DP thread count for the dense fill.
-#[allow(clippy::too_many_arguments)]
-fn lattice_bits_threaded(
-    db: &Database,
-    q: &SpjQuery,
-    catalog: &SitCatalog,
-    mode: ErrorMode,
-    strategy: DpStrategy,
-    cache: Option<&ShardedCache>,
-    pruning: bool,
-    threads: usize,
-) -> Vec<(u64, u64)> {
-    lattice_bits_scheduled(
-        db,
-        q,
-        catalog,
-        mode,
-        strategy,
-        cache,
-        pruning,
-        threads,
-        FillSchedule::Auto,
-    )
-}
-
-/// [`lattice_bits_threaded`] with an explicit fill schedule. Forcing
-/// [`FillSchedule::WorkStealing`] matters for the small proptest queries:
-/// they sit below the `Auto` threshold, where `Auto` (correctly) stays
-/// serial and would never exercise the scheduler.
-#[allow(clippy::too_many_arguments)]
-fn lattice_bits_scheduled(
-    db: &Database,
-    q: &SpjQuery,
-    catalog: &SitCatalog,
-    mode: ErrorMode,
-    strategy: DpStrategy,
-    cache: Option<&ShardedCache>,
-    pruning: bool,
-    threads: usize,
-    schedule: FillSchedule,
-) -> Vec<(u64, u64)> {
-    let mut est = SelectivityEstimator::new(db, q, catalog, mode)
-        .with_strategy(strategy)
-        .with_dp_threads(threads)
-        .with_fill_schedule(schedule);
+    let mut est = SelectivityEstimator::new(db, q, catalog, mode).with_strategy(strategy);
     if let Some(c) = cache {
         est = est.with_shared_cache(c);
     }
@@ -160,74 +108,6 @@ proptest! {
         }
     }
 
-    /// Rank-parallel dense fill ≡ serial dense fill, bit for bit, across
-    /// thread counts, error modes, and §3.4 pruning. Worker threads own
-    /// disjoint result slots and peel links evaluate exactly once through
-    /// the rank's claim-then-publish map, so scheduling cannot perturb a
-    /// single bit (DESIGN.md §4e). The rank-barrier schedule is forced:
-    /// under `Auto` these small components run serially.
-    #[test]
-    fn rank_parallel_fill_is_bit_identical(
-        db in small_db(),
-        q in query(),
-        pool_i in 0usize..3,
-        pruning in any::<bool>(),
-    ) {
-        let catalog = build_pool(&db, std::slice::from_ref(&q), PoolSpec::ji(pool_i))
-            .expect("pool build");
-        for mode in [ErrorMode::NInd, ErrorMode::Diff] {
-            let serial = lattice_bits(&db, &q, &catalog, mode, DpStrategy::Dense, None, pruning);
-            for threads in [2, 8] {
-                let par = lattice_bits_scheduled(
-                    &db, &q, &catalog, mode, DpStrategy::Dense, None, pruning, threads,
-                    FillSchedule::RankBarrier,
-                );
-                prop_assert_eq!(&par, &serial, "threads {}, mode {:?}", threads, mode);
-            }
-        }
-    }
-
-    /// Work-stealing fill ≡ serial ≡ rank-barrier, bit for bit, across the
-    /// whole lattice at threads {2, 4, 8} — including equal memo/peel/vm
-    /// instrumentation, so the *computed-key set* (not just the values) is
-    /// scheduling-independent. The dependency-counted scheduler treats
-    /// every subset as a node (pre-memoized masks become no-op
-    /// completions), which is exactly what these cross-mask re-entries
-    /// exercise: each lattice probe re-fills components whose sub-lattices
-    /// are already partially memoized.
-    #[test]
-    fn work_stealing_fill_is_bit_identical(
-        db in small_db(),
-        q in query(),
-        pool_i in 0usize..3,
-        pruning in any::<bool>(),
-    ) {
-        let catalog = build_pool(&db, std::slice::from_ref(&q), PoolSpec::ji(pool_i))
-            .expect("pool build");
-        for mode in [ErrorMode::NInd, ErrorMode::Diff] {
-            let serial = lattice_bits(&db, &q, &catalog, mode, DpStrategy::Dense, None, pruning);
-            for threads in [2, 4, 8] {
-                let ws = lattice_bits_scheduled(
-                    &db, &q, &catalog, mode, DpStrategy::Dense, None, pruning, threads,
-                    FillSchedule::WorkStealing,
-                );
-                prop_assert_eq!(&ws, &serial, "ws threads {}, mode {:?}", threads, mode);
-            }
-            // Instrumentation identity on a full-set evaluation.
-            let mut s_est = SelectivityEstimator::new(&db, &q, &catalog, mode)
-                .with_strategy(DpStrategy::Dense);
-            let _ = s_est.get_selectivity(s_est.context().all());
-            let mut w_est = SelectivityEstimator::new(&db, &q, &catalog, mode)
-                .with_strategy(DpStrategy::Dense)
-                .with_dp_threads(4)
-                .with_fill_schedule(FillSchedule::WorkStealing);
-            let _ = w_est.get_selectivity(w_est.context().all());
-            prop_assert_eq!(w_est.stats().memo_entries, s_est.stats().memo_entries);
-            prop_assert_eq!(w_est.stats().peel_entries, s_est.stats().peel_entries);
-            prop_assert_eq!(w_est.stats().vm_calls, s_est.stats().vm_calls);
-        }
-    }
-
     /// Same identity through a shared cross-query cache: values are pure
     /// functions of their keys, so cache warm-up from either engine (or
     /// both, interleaved) never perturbs results.
@@ -258,9 +138,8 @@ proptest! {
     }
 }
 
-/// Deterministic 12-predicate join chain with filters: large enough that
-/// the full component (4096 lattice masks) crosses the work-stealing Auto
-/// threshold, the regime the dense engine and its schedulers target.
+/// Deterministic 12-predicate join chain with filters: one 4096-mask
+/// component, the regime the dense engine targets.
 fn chain_db_and_query() -> (Database, SpjQuery) {
     let mut db = Database::new();
     for t in 0..5 {
@@ -312,146 +191,5 @@ fn dense_engine_matches_recursive_at_n12() {
             "both engines visit the identical state set"
         );
         assert_eq!(dense.stats().peel_entries, rec.stats().peel_entries);
-
-        // Every parallel fill (rank-barrier: C(12,6) = 924-mask ranks;
-        // work-stealing: one 4096-node dependency graph; Auto: the
-        // satellite heuristic, which at n = 12 engages work-stealing) must
-        // reproduce the serial answer bit for bit AND the serial
-        // instrumentation exactly — same memo states, same computed peel
-        // links, same view-matching call count — because per-mask slots and
-        // the exactly-once link map make the computed-key set, not just the
-        // values, scheduling-independent.
-        for schedule in [
-            FillSchedule::Auto,
-            FillSchedule::RankBarrier,
-            FillSchedule::WorkStealing,
-        ] {
-            for threads in [2, 8] {
-                let mut par = SelectivityEstimator::new(&db, &q, &catalog, mode)
-                    .with_strategy(DpStrategy::Dense)
-                    .with_dp_threads(threads)
-                    .with_fill_schedule(schedule);
-                let (sp, ep) = par.get_selectivity(par.context().all());
-                assert_eq!(
-                    sp.to_bits(),
-                    sd.to_bits(),
-                    "sel, {threads} threads, {schedule:?}, mode {mode:?}"
-                );
-                assert_eq!(
-                    ep.to_bits(),
-                    ed.to_bits(),
-                    "err, {threads} threads, {schedule:?}, mode {mode:?}"
-                );
-                assert_eq!(par.stats().memo_entries, dense.stats().memo_entries);
-                assert_eq!(par.stats().peel_entries, dense.stats().peel_entries);
-                assert_eq!(par.stats().vm_calls, dense.stats().vm_calls);
-                if schedule != FillSchedule::RankBarrier {
-                    // Auto and forced WS both run the stealing fill here
-                    // (4096 masks ≥ the Auto threshold), and its stats
-                    // account for every lattice node exactly once.
-                    let stats = par.fill_stats();
-                    assert!(
-                        stats.parallel_fills >= 1,
-                        "{schedule:?} engaged the scheduler"
-                    );
-                    assert_eq!(
-                        stats.tasks, 4095,
-                        "every non-empty subset of the 12-predicate component is a node"
-                    );
-                }
-            }
-        }
     }
-}
-
-/// Armed `par` failpoints under the work-stealing fill: a worker panic
-/// aborts the whole fill (the abort guard wakes the other workers), the
-/// panic propagates to the caller, and nothing half-computed is committed —
-/// a fresh estimator over the same catalog still answers bit-identically.
-#[test]
-fn work_stealing_fill_survives_armed_failpoints() {
-    let _guard = failpoint::test_serial_guard();
-    let (db, q) = chain_db_and_query();
-    let catalog = build_pool(&db, std::slice::from_ref(&q), PoolSpec::ji(1)).unwrap();
-    let mut serial = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff)
-        .with_strategy(DpStrategy::Dense);
-    let (ss, se) = serial.get_selectivity(serial.context().all());
-
-    for site in ["par::publish", "dp::solve_mask"] {
-        failpoint::arm_with(site, Action::Panic, 64, None, 7);
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let mut est = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff)
-                .with_strategy(DpStrategy::Dense)
-                .with_dp_threads(4)
-                .with_fill_schedule(FillSchedule::WorkStealing);
-            est.get_selectivity(est.context().all())
-        }));
-        failpoint::disarm(site);
-        if let Ok((s, e)) = outcome {
-            // The 1-in-64 trigger happened to never fire: the answer must
-            // still be exact.
-            assert_eq!(s.to_bits(), ss.to_bits(), "{site}: survived arm");
-            assert_eq!(e.to_bits(), se.to_bits(), "{site}: survived arm");
-        }
-        // Whatever happened above, a fresh estimator is unpolluted.
-        let mut fresh = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff)
-            .with_strategy(DpStrategy::Dense)
-            .with_dp_threads(4)
-            .with_fill_schedule(FillSchedule::WorkStealing);
-        let (fs, fe) = fresh.get_selectivity(fresh.context().all());
-        assert_eq!(fs.to_bits(), ss.to_bits(), "{site}: fresh after chaos");
-        assert_eq!(fe.to_bits(), se.to_bits(), "{site}: fresh after chaos");
-    }
-}
-
-/// Mid-fill budget cancellation: a quota sized to trip halfway through the
-/// fill makes the work-stealing engine abort and surface the reason
-/// (committing nothing), and a fresh unlimited estimator still answers
-/// bit-identically. Serial and stealing fills may disagree only on *where*
-/// the trip surfaces (a serial fill can trip exactly at a fill boundary and
-/// still return its completed answer), so an `Ok` is accepted iff it is the
-/// exact answer.
-#[test]
-fn work_stealing_budget_trip_aborts_cleanly() {
-    let (db, q) = chain_db_and_query();
-    let catalog = build_pool(&db, std::slice::from_ref(&q), PoolSpec::ji(1)).unwrap();
-    let mut serial = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff)
-        .with_strategy(DpStrategy::Dense);
-    let (ss, se) = serial.get_selectivity(serial.context().all());
-
-    // Measure the full cost, then grant half.
-    let gauge = Arc::new(BudgetMeter::start(&Budget::unlimited()));
-    let mut measured = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff)
-        .with_strategy(DpStrategy::Dense)
-        .with_budget_meter(Arc::clone(&gauge));
-    measured
-        .try_get_selectivity(measured.context().all())
-        .expect("unlimited meter cannot trip");
-    let quota = (gauge.spent() / 2).max(1);
-
-    let tight = Arc::new(BudgetMeter::start(&Budget::unlimited().with_quota(quota)));
-    let mut ws = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff)
-        .with_strategy(DpStrategy::Dense)
-        .with_dp_threads(4)
-        .with_fill_schedule(FillSchedule::WorkStealing)
-        .with_budget_meter(Arc::clone(&tight));
-    match ws.try_get_selectivity(ws.context().all()) {
-        Err(_) => {
-            assert!(tight.tripped().is_some(), "error implies a tripped meter");
-        }
-        Ok((s, e)) => {
-            assert_eq!(s.to_bits(), ss.to_bits(), "boundary Ok must be exact");
-            assert_eq!(e.to_bits(), se.to_bits(), "boundary Ok must be exact");
-        }
-    }
-
-    // The aborted fill committed nothing it shouldn't have: re-running the
-    // same estimator family fresh and unlimited is bit-identical.
-    let mut fresh = SelectivityEstimator::new(&db, &q, &catalog, ErrorMode::Diff)
-        .with_strategy(DpStrategy::Dense)
-        .with_dp_threads(4)
-        .with_fill_schedule(FillSchedule::WorkStealing);
-    let (fs, fe) = fresh.get_selectivity(fresh.context().all());
-    assert_eq!(fs.to_bits(), ss.to_bits());
-    assert_eq!(fe.to_bits(), se.to_bits());
 }
