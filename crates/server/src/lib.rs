@@ -13,10 +13,12 @@
 //!   independent epoch-tagged catalog ([`sqe_core::LiveCatalog`] +
 //!   partial installs) and a [`crate::metrics::TenantMetrics`] sink, all
 //!   sharing one process-wide [`sqe_service::AdmissionControl`];
-//! - [`server`] — a single-threaded non-blocking reactor
-//!   (`TcpListener` poll loop) with the `server::accept` /
-//!   `server::read` / `server::respond` chaos failpoints placed so
-//!   admission accounting cannot leak.
+//! - [`server`] — an acceptor thread plus one blocking thread per
+//!   connection, so the server wakes when bytes arrive; requests are
+//!   still dispatched one at a time under a shared dispatch turn
+//!   (concurrent dispatch cost the cold tail more than it gained), with
+//!   the `server::accept` / `server::read` / `server::respond` chaos
+//!   failpoints placed so admission accounting cannot leak.
 //!
 //! ## Routes
 //!

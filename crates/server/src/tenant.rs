@@ -232,7 +232,8 @@ impl Tenant {
 
 /// The multi-tenant front door: a registry of [`Tenant`]s sharing one
 /// global admission pool, with an HTTP-shaped [`FrontDoor::handle`]
-/// dispatcher the reactor (and in-process tests) drive directly.
+/// dispatcher the server's connection threads (and in-process tests)
+/// drive directly.
 pub struct FrontDoor {
     global: Arc<AdmissionControl>,
     tenants: RwLock<BTreeMap<String, Arc<Tenant>>>,
@@ -293,7 +294,7 @@ impl FrontDoor {
 
     /// Dispatches one parsed request to a response. Total: every input —
     /// including garbage — maps to a response, never a panic (the
-    /// reactor additionally wraps this in `catch_unwind` as a backstop).
+    /// server additionally wraps this in `catch_unwind` as a backstop).
     pub fn handle(&self, req: &Request) -> Response {
         let path = req.path().to_string();
         let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();

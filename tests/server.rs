@@ -1,8 +1,10 @@
 //! Integration suite for the multi-tenant HTTP front end (`sqe-server`):
 //! wire protocol, the three admission gates and their retry hints,
 //! quota/permit leak regressions under injected mid-request panics,
-//! per-tenant catalog isolation under concurrent ingest, and exact
-//! request accounting with the reactor failpoints armed.
+//! per-tenant catalog isolation under concurrent ingest, exact request
+//! accounting with the server failpoints armed, and the TCP connection
+//! lifecycle (EOF on close, prompt shutdown, no blocking behind a
+//! stalled peer).
 //!
 //! Failpoint state is process-global, so every test here takes the
 //! shared serial guard even when it arms nothing — an armed
@@ -10,6 +12,7 @@
 //! leak into the unrelated ones.
 
 use std::io::{Read as _, Write as _};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -52,7 +55,7 @@ fn small_db(salt: usize) -> Database {
             .map(|r| ((r * 13 + t * 5 + salt * 11) % 17) as i64)
             .collect();
         db.add_table(
-            TableBuilder::new(&format!("t{t}"))
+            TableBuilder::new(format!("t{t}"))
                 .column("a", a)
                 .column("b", b)
                 .build()
@@ -217,7 +220,7 @@ fn wire_protocol_is_total_and_answers_match_the_service() {
             "wire answer diverged from the service"
         );
         assert!(wire.cardinality.is_finite() && wire.error.is_finite());
-        assert!(wire.upper_bound.map_or(true, f64::is_finite));
+        assert!(wire.upper_bound.is_none_or(f64::is_finite));
         let _ = wire.cached;
     }
 
@@ -561,8 +564,8 @@ const fn batches_len() -> u64 {
 
 /// One HTTP exchange over loopback; `None` when the connection was
 /// reset/closed without a complete response (an injected loss).
-fn tcp_roundtrip(addr: std::net::SocketAddr, raw: &[u8]) -> Option<String> {
-    let mut stream = std::net::TcpStream::connect(addr).ok()?;
+fn tcp_roundtrip(addr: SocketAddr, raw: &[u8]) -> Option<String> {
+    let mut stream = TcpStream::connect(addr).ok()?;
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .ok()?;
@@ -654,4 +657,171 @@ fn reactor_failpoints_lose_requests_but_never_accounting() {
         0,
         "global permit leaked"
     );
+}
+
+// ---------------------------------------------------------------------
+// Connection lifecycle: EOF on close, prompt shutdown, stalled peers
+// ---------------------------------------------------------------------
+
+/// A served front door with one open-quota tenant, plus a raw estimate
+/// request for it asking for `Connection: close` or keep-alive.
+fn served(bind: &str) -> (sqe::server::ServerHandle, impl Fn(bool) -> String) {
+    let door = Arc::new(FrontDoor::new(0));
+    add_small_tenant(&door, "acme", 0, open_quota());
+    let handle = sqe::server::spawn(door, bind).expect("bind");
+    let body = estimate_body(&small_queries()[0], Some(5_000));
+    let raw = move |close: bool| {
+        format!(
+            "POST /v1/acme/estimate HTTP/1.1\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n{body}",
+            body.len(),
+            if close { "close" } else { "keep-alive" }
+        )
+    };
+    (handle, raw)
+}
+
+/// Connects over loopback with a 1 s read timeout, so a reply or EOF
+/// that never comes fails the read instead of hanging the test.
+fn connect(port: u16) -> TcpStream {
+    let stream = TcpStream::connect(SocketAddr::from(([127, 0, 0, 1], port))).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(1)))
+        .expect("read timeout");
+    stream
+}
+
+/// Asserts `reply` is one complete `200` estimate: a head, then exactly
+/// `Content-Length` body bytes holding a Full answer.
+fn assert_full_reply(reply: &[u8]) {
+    let text = std::str::from_utf8(reply).expect("reply is UTF-8");
+    assert!(text.starts_with("HTTP/1.1 200 "), "reply: {text:?}");
+    let (head, body) = text.split_once("\r\n\r\n").expect("complete head");
+    assert_eq!(
+        body.len(),
+        content_length(head),
+        "truncated or overlong body"
+    );
+    let wire: EstimateWire = serde_json::from_str(body).expect("estimate body parses");
+    assert_eq!(wire.quality, "full");
+}
+
+/// The `Content-Length` a reply head declares.
+fn content_length(head: &str) -> usize {
+    head.lines()
+        .find_map(|l| l.strip_prefix("Content-Length: "))
+        .and_then(|v| v.parse().ok())
+        .expect("numeric Content-Length")
+}
+
+/// Reads one keep-alive reply (head plus `Content-Length` body).
+fn read_reply(stream: &mut TcpStream) -> Vec<u8> {
+    let mut reply = Vec::new();
+    let mut byte = [0u8; 1];
+    while !reply.ends_with(b"\r\n\r\n") {
+        stream.read_exact(&mut byte).expect("reply head");
+        reply.push(byte[0]);
+    }
+    let mut body = vec![0u8; content_length(&String::from_utf8_lossy(&reply))];
+    stream.read_exact(&mut body).expect("reply body");
+    reply.extend_from_slice(&body);
+    reply
+}
+
+/// A peer whose connection thread is known to be serving it: it
+/// completes one keep-alive exchange, then sends half a request head and
+/// stalls, so that thread is back in a blocking read of an unfinished
+/// request.
+fn half_sent_peer(port: u16, raw: &impl Fn(bool) -> String) -> TcpStream {
+    let mut peer = connect(port);
+    peer.write_all(raw(false).as_bytes()).expect("send");
+    assert_full_reply(&read_reply(&mut peer));
+    peer.write_all(b"POST /v1/acme/estimate HTTP/1.1\r\nContent-Le")
+        .expect("send half a head");
+    peer
+}
+
+/// Asserts the peer's next read is EOF, not data or a timeout.
+fn assert_eof(stream: &mut TcpStream, who: &str) {
+    let mut rest = Vec::new();
+    let read = stream.read_to_end(&mut rest);
+    assert!(
+        matches!(read, Ok(0)),
+        "{who}: want EOF, got {read:?} after {} bytes",
+        rest.len()
+    );
+}
+
+#[test]
+fn connection_close_exchange_ends_in_eof() {
+    let _guard = failpoint::test_serial_guard();
+    failpoint::disarm_all();
+
+    let (handle, raw) = served("127.0.0.1:0");
+    for _ in 0..4 {
+        let mut stream = connect(handle.addr().port());
+        stream.write_all(raw(true).as_bytes()).expect("send");
+        // `read_to_end` returns only at EOF; the 1 s timeout turns a
+        // server that keeps the socket half-open into an error.
+        let mut reply = Vec::new();
+        stream
+            .read_to_end(&mut reply)
+            .expect("Connection: close must end in EOF within 1 s");
+        assert_full_reply(&reply);
+    }
+    handle.shutdown();
+}
+
+#[test]
+fn shutdown_is_prompt_with_idle_and_half_sent_peers() {
+    let _guard = failpoint::test_serial_guard();
+    failpoint::disarm_all();
+
+    // An unspecified bind must shut down as promptly: the wake connect
+    // goes to loopback, since not every platform accepts a connect to
+    // `0.0.0.0`.
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let (handle, raw) = served(bind);
+        let port = handle.addr().port();
+        let mut half = half_sent_peer(port, &raw);
+        let mut idle = connect(port);
+        idle.write_all(raw(false).as_bytes()).expect("send");
+        assert_full_reply(&read_reply(&mut idle));
+
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            handle.shutdown();
+            let _ = done.send(());
+        });
+        assert!(
+            finished.recv_timeout(Duration::from_secs(2)).is_ok(),
+            "{bind}: shutdown still blocked after 2 s"
+        );
+        assert_eof(&mut idle, "idle keep-alive peer");
+        assert_eof(&mut half, "half-sent peer");
+    }
+}
+
+#[test]
+fn a_stalled_peer_blocks_no_other_connection() {
+    let _guard = failpoint::test_serial_guard();
+    failpoint::disarm_all();
+
+    let (handle, raw) = served("127.0.0.1:0");
+    let port = handle.addr().port();
+    let stalled = half_sent_peer(port, &raw);
+    let start = Instant::now();
+    let mut other = connect(port);
+    other.write_all(raw(true).as_bytes()).expect("send");
+    let mut reply = Vec::new();
+    other
+        .read_to_end(&mut reply)
+        .expect("answered while another peer stalls");
+    assert!(
+        start.elapsed() < Duration::from_secs(1),
+        "answer took {:?} behind a stalled peer",
+        start.elapsed()
+    );
+    assert_full_reply(&reply);
+    drop(stalled);
+    handle.shutdown();
 }
