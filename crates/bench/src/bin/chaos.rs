@@ -268,8 +268,9 @@ fn main() {
     failpoint::arm_with("dp::solve_mask", Action::Panic, 20_000, None, 11);
     failpoint::arm_with("service::cache_insert", Action::Sleep(1), 256, None, 33);
     failpoint::arm_with("service::install", Action::Sleep(2), 4, None, 44);
-    // The bound sketch runs on every budgeted answer (panic-isolated), so
-    // its failpoint exercises the backend-panic floor under load too.
+    // The bound sketch runs on every answer, inside the service's panic
+    // isolation, so its failpoint exercises the backend-panic floor under
+    // load too.
     failpoint::arm_with("pessimistic::bound", Action::Panic, 10_000, None, 55);
     eprintln!("chaos: armed {:?}", failpoint::armed_sites());
 

@@ -40,7 +40,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sqe_bench::report::{render_table, write_json};
 use sqe_bench::Args;
-use sqe_core::{build_pool, DeltaConfig, PoolSpec, Quality};
+use sqe_core::{build_pool, DeltaConfig, MetricsSnapshot, PoolSpec, Quality};
 use sqe_datagen::{
     generate_mutations, generate_workload, MutationConfig, MutationStream, Tpcc, TpccConfig,
     WorkloadConfig,
@@ -189,17 +189,15 @@ fn drive(
 }
 
 fn phase_stats(
-    before: &sqe_server::MetricsSnapshot,
-    after: &sqe_server::MetricsSnapshot,
+    before: &MetricsSnapshot,
+    after: &MetricsSnapshot,
     counts: ClientCounts,
 ) -> PhaseStats {
-    let rung_mix: Vec<RungShare> = after
-        .rungs
+    let rung_mix: Vec<RungShare> = Quality::ALL
         .iter()
-        .zip(&before.rungs)
-        .map(|(a, b)| RungShare {
-            rung: a.rung.clone(),
-            served: a.served - b.served,
+        .map(|&q| RungShare {
+            rung: q.label().to_string(),
+            served: after.quality_count(q) - before.quality_count(q),
         })
         .collect();
     let served: u64 = rung_mix.iter().map(|r| r.served).sum();
@@ -215,11 +213,11 @@ fn phase_stats(
             full as f64 / served as f64
         },
         rung_mix,
-        sheds: after.sheds - before.sheds,
-        shed_retry_ms_max: after.shed_retry_ms_max,
-        p50_us: after.p50_us,
-        p99_us: after.p99_us,
-        p999_us: after.p999_us,
+        sheds: after.all_sheds() - before.all_sheds(),
+        shed_retry_ms_max: after.retry_ms_max(),
+        p50_us: after.latency_quantile_us(0.50),
+        p99_us: after.latency_quantile_us(0.99),
+        p999_us: after.latency_quantile_us(0.999),
         max_epoch: after.max_epoch,
         http_200: counts.http_200,
         http_429: counts.http_429,
@@ -368,7 +366,7 @@ fn main() {
 
     // --- Phase 1: everyone inside quota (0.8×) ------------------------
     eprintln!("phase 1: baseline, {baseline_secs}s ...");
-    let snap_before: Vec<_> = tenants.iter().map(|t| t.metrics().snapshot()).collect();
+    let snap_before: Vec<_> = tenants.iter().map(|t| t.service().stats()).collect();
     let mut batch_cursors = vec![0usize; n_tenants];
     let baseline_counts: Vec<ClientCounts> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..n_tenants)
@@ -398,7 +396,7 @@ fn main() {
             .map(|h| h.join().expect("client"))
             .collect()
     });
-    let snap_mid: Vec<_> = tenants.iter().map(|t| t.metrics().snapshot()).collect();
+    let snap_mid: Vec<_> = tenants.iter().map(|t| t.service().stats()).collect();
 
     // --- Phase 2: tenant 0 at 2× its quota ----------------------------
     eprintln!("phase 2: overload t0 at 2x, {overload_secs}s ...");
@@ -441,7 +439,7 @@ fn main() {
             })
             .collect()
     });
-    let snap_after: Vec<_> = tenants.iter().map(|t| t.metrics().snapshot()).collect();
+    let snap_after: Vec<_> = tenants.iter().map(|t| t.service().stats()).collect();
 
     // --- Assemble per-tenant reports ----------------------------------
     let mut tenant_reports = Vec::new();

@@ -122,6 +122,16 @@ pub enum DegradeReason {
     Panic,
 }
 
+impl DegradeReason {
+    /// Every reason, in declaration order.
+    pub const ALL: [DegradeReason; 4] = [
+        DegradeReason::Deadline,
+        DegradeReason::WorkQuota,
+        DegradeReason::Cancelled,
+        DegradeReason::Panic,
+    ];
+}
+
 impl From<ExhaustReason> for DegradeReason {
     fn from(r: ExhaustReason) -> Self {
         match r {

@@ -71,7 +71,7 @@ use crate::cache::SharedEstimatorCache;
 use crate::error::ErrorMode;
 use crate::estimator::{DpStrategy, EstimatorStats, SelectivityEstimator};
 use crate::gvm::GreedyViewMatching;
-use crate::metrics::{MetricsSink, NullSink};
+use crate::metrics::Metrics;
 use crate::sit::SitCatalog;
 use crate::sit2::Sit2Catalog;
 
@@ -114,11 +114,8 @@ pub struct Ladder<'a> {
     sit2: Option<&'a Sit2Catalog>,
     shared: Option<&'a dyn SharedEstimatorCache>,
     backend: Arc<dyn SelectivityBackend>,
-    metrics: &'a dyn MetricsSink,
+    metrics: Option<&'a Metrics>,
 }
-
-/// The shared no-op sink every ladder starts with.
-static NULL_SINK: NullSink = NullSink;
 
 impl<'a> Ladder<'a> {
     pub fn new(db: &'a Database, catalog: &'a SitCatalog, mode: ErrorMode) -> Self {
@@ -132,18 +129,30 @@ impl<'a> Ladder<'a> {
             sit2: None,
             shared: None,
             backend: Arc::new(DiffBackend),
-            metrics: &NULL_SINK,
+            metrics: None,
         }
     }
 
-    /// Installs a [`MetricsSink`] observing the rung walk: one
-    /// [`MetricsSink::rung_attempted`] per rung tried, one
-    /// [`MetricsSink::rung_answered`] for the rung that answered. Sinks
-    /// observe only — the walk and every answer are bit-identical with or
-    /// without one.
-    pub fn with_metrics(mut self, sink: &'a dyn MetricsSink) -> Self {
-        self.metrics = sink;
+    /// Records the rung walk into `metrics`: one
+    /// [`Metrics::rung_attempted`] per rung tried, one
+    /// [`Metrics::rung_answered`] for the rung that answered. Recording
+    /// only observes — the walk and every answer are bit-identical with or
+    /// without it.
+    pub fn with_metrics(mut self, metrics: &'a Metrics) -> Self {
+        self.metrics = Some(metrics);
         self
+    }
+
+    fn attempted(&self, quality: Quality) {
+        if let Some(m) = self.metrics {
+            m.rung_attempted(quality);
+        }
+    }
+
+    fn answered(&self, quality: Quality) {
+        if let Some(m) = self.metrics {
+            m.rung_answered(quality);
+        }
     }
 
     /// Selectivity backend forwarded to every DP rung. A backend that
@@ -198,10 +207,9 @@ impl<'a> Ladder<'a> {
         self
     }
 
-    fn build_estimator(&self, query: &SpjQuery, pruned: bool) -> SelectivityEstimator<'a> {
-        self.build_estimator_as(query, pruned, self.strategy)
-    }
-
+    /// Builds one rung's estimator from the ladder's shared knobs: the
+    /// only place a service request constructs a
+    /// [`SelectivityEstimator`].
     fn build_estimator_as(
         &self,
         query: &SpjQuery,
@@ -248,8 +256,8 @@ impl<'a> Ladder<'a> {
                 let cross = cross as f64;
                 if cross > 0.0 && bound.is_finite() {
                     let cap = (bound / cross).clamp(0.0, 1.0);
-                    self.metrics.rung_attempted(Quality::Bound);
-                    self.metrics.rung_answered(Quality::Bound, reason);
+                    self.attempted(Quality::Bound);
+                    self.answered(Quality::Bound);
                     return BudgetedEstimate {
                         selectivity: independence.min(cap),
                         error: None,
@@ -261,8 +269,8 @@ impl<'a> Ladder<'a> {
                 }
             }
         }
-        self.metrics.rung_attempted(Quality::Independence);
-        self.metrics.rung_answered(Quality::Independence, reason);
+        self.attempted(Quality::Independence);
+        self.answered(Quality::Independence);
         BudgetedEstimate {
             selectivity: independence,
             error: None,
@@ -279,7 +287,7 @@ impl<'a> Ladder<'a> {
     /// directly.
     pub fn estimate(&self, query: &SpjQuery, budget: &Budget) -> BudgetedEstimate {
         if budget.is_unlimited() {
-            let mut est = self.build_estimator(query, false);
+            let mut est = self.build_estimator_as(query, false, self.strategy);
             let all = est.context().all();
             let (selectivity, error) = est.get_selectivity(all);
             let quality = if est.is_beam() {
@@ -287,8 +295,8 @@ impl<'a> Ladder<'a> {
             } else {
                 Quality::Full
             };
-            self.metrics.rung_attempted(quality);
-            self.metrics.rung_answered(quality, None);
+            self.attempted(quality);
+            self.answered(quality);
             return BudgetedEstimate {
                 selectivity,
                 error: Some(error),
@@ -333,16 +341,16 @@ impl<'a> Ladder<'a> {
         ));
         {
             let top = if routed { Quality::Beam } else { Quality::Full };
-            self.metrics.rung_attempted(top);
+            self.attempted(top);
             let mut est = self
-                .build_estimator(query, false)
+                .build_estimator_as(query, false, self.strategy)
                 .with_budget_meter(full_meter.clone());
             let all = est.context().all();
             let r = est.try_get_selectivity(all);
             work += full_meter.spent();
             match r {
                 Ok((selectivity, error)) => {
-                    self.metrics.rung_answered(top, None);
+                    self.answered(top);
                     return BudgetedEstimate {
                         selectivity,
                         error: Some(error),
@@ -363,7 +371,7 @@ impl<'a> Ladder<'a> {
         // cumulative windows, which would break quota monotonicity.
         let r1 = budget.quota.map(|q| q - q / 2);
         if !routed {
-            self.metrics.rung_attempted(Quality::Beam);
+            self.attempted(Quality::Beam);
             let beam_meter = Arc::new(BudgetMeter::from_parts(
                 budget.deadline.map(|d| start + d.mul_f64(0.625)),
                 r1.map(|r| r / 2),
@@ -376,7 +384,7 @@ impl<'a> Ladder<'a> {
             let r = est.try_get_selectivity(all);
             work += beam_meter.spent();
             if let Ok((selectivity, error)) = r {
-                self.metrics.rung_answered(Quality::Beam, Some(reason));
+                self.answered(Quality::Beam);
                 return BudgetedEstimate {
                     selectivity,
                     error: Some(error),
@@ -397,15 +405,15 @@ impl<'a> Ladder<'a> {
             budget.cancel.clone(),
         ));
         {
-            self.metrics.rung_attempted(Quality::Pruned);
+            self.attempted(Quality::Pruned);
             let mut est = self
-                .build_estimator(query, true)
+                .build_estimator_as(query, true, self.strategy)
                 .with_budget_meter(pruned_meter.clone());
             let all = est.context().all();
             let r = est.try_get_selectivity(all);
             work += pruned_meter.spent();
             if let Ok((selectivity, error)) = r {
-                self.metrics.rung_answered(Quality::Pruned, Some(reason));
+                self.answered(Quality::Pruned);
                 return BudgetedEstimate {
                     selectivity,
                     error: Some(error),
@@ -426,11 +434,11 @@ impl<'a> Ladder<'a> {
             budget.cancel.clone(),
         );
         if gate.force_poll().is_ok() {
-            self.metrics.rung_attempted(Quality::Greedy);
+            self.attempted(Quality::Greedy);
             let mut gvm = GreedyViewMatching::new(self.db, query, self.catalog);
             let all = gvm.context().all();
             let selectivity = gvm.selectivity(all);
-            self.metrics.rung_answered(Quality::Greedy, Some(reason));
+            self.answered(Quality::Greedy);
             return BudgetedEstimate {
                 selectivity,
                 error: None,

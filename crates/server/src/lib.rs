@@ -11,7 +11,7 @@
 //!   overload into *its own* quality degradation;
 //! - [`tenant`] — the [`FrontDoor`]: a registry of tenants, each with an
 //!   independent epoch-tagged catalog ([`sqe_core::LiveCatalog`] +
-//!   partial installs) and a [`crate::metrics::TenantMetrics`] sink, all
+//!   partial installs) and its own service's [`sqe_core::Metrics`], all
 //!   sharing one process-wide [`sqe_service::AdmissionControl`];
 //! - [`server`] — an acceptor thread plus one blocking thread per
 //!   connection, so the server wakes when bytes arrive; requests are
@@ -38,13 +38,11 @@
 #![warn(missing_docs)]
 
 pub mod http;
-pub mod metrics;
 pub mod quota;
 pub mod server;
 pub mod tenant;
 
 pub use http::{Request, Response};
-pub use metrics::{MetricsSnapshot, TenantMetrics};
 pub use quota::{QuotaConfig, TokenBucket};
 pub use server::{spawn, ServerHandle, ServerStats};
 pub use tenant::{DoorError, FrontDoor, ShedScope, Tenant, TenantConfig};
@@ -59,7 +57,6 @@ mod assertions {
     fn shared_types_are_send_sync() {
         _assert_send_sync::<FrontDoor>();
         _assert_send_sync::<Tenant>();
-        _assert_send_sync::<TenantMetrics>();
         _assert_send_sync::<TokenBucket>();
     }
 }

@@ -43,7 +43,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
-use sqe_core::{Budget, DeltaConfig, LiveCatalog, MetricsSink, SitCatalog};
+use sqe_core::{
+    Budget, DegradeReason, DeltaConfig, LiveCatalog, MetricsSnapshot, Quality, SitCatalog,
+};
 use sqe_engine::delta::DeltaBatch;
 use sqe_engine::{Database, Predicate, SpjQuery, TableId};
 use sqe_service::{
@@ -52,7 +54,6 @@ use sqe_service::{
 };
 
 use crate::http::{Request, Response};
-use crate::metrics::{MetricsSnapshot, TenantMetrics};
 use crate::quota::{QuotaConfig, TokenBucket};
 
 /// Everything needed to stand up one tenant.
@@ -101,18 +102,17 @@ pub enum DoorError {
     },
     /// The request body or target was malformed.
     Bad(String),
-    /// No such tenant.
-    UnknownTenant(String),
 }
 
-/// One tenant: service + live catalog + quota + in-flight pool + metrics.
+/// One tenant: service + live catalog + quota + in-flight pool. The
+/// service's metrics hold every count of this tenant, including the
+/// refusals of the two gates in front of it.
 pub struct Tenant {
     name: String,
     service: EstimationService,
     live: Mutex<LiveCatalog>,
     bucket: TokenBucket,
     admission: AdmissionControl,
-    metrics: Arc<TenantMetrics>,
     config: TenantConfig,
 }
 
@@ -122,14 +122,10 @@ impl Tenant {
         &self.name
     }
 
-    /// This tenant's estimation service (own snapshots and cache).
+    /// This tenant's estimation service (own snapshots, cache and
+    /// metrics).
     pub fn service(&self) -> &EstimationService {
         &self.service
-    }
-
-    /// This tenant's metrics sink.
-    pub fn metrics(&self) -> &Arc<TenantMetrics> {
-        &self.metrics
     }
 
     /// This tenant's token bucket.
@@ -158,7 +154,7 @@ impl Tenant {
     ) -> Result<Estimate, DoorError> {
         // Gate 1: quota. The bucket's hint is exact refill time.
         if let Err(wait) = self.bucket.try_take(now) {
-            self.metrics.shed(wait.as_nanos() as u64);
+            self.service.metrics().door_shed(wait);
             return Err(DoorError::Overloaded {
                 scope: ShedScope::Quota,
                 retry_after: wait,
@@ -173,7 +169,7 @@ impl Tenant {
                 .note_shed()
                 .unwrap_or_else(|| self.config.quota.full_refill())
                 .min(self.retry_cap());
-            self.metrics.shed(wait.as_nanos() as u64);
+            self.service.metrics().door_shed(wait);
             return Err(DoorError::Overloaded {
                 scope: ShedScope::Tenant,
                 retry_after: wait,
@@ -210,7 +206,7 @@ impl Tenant {
         now: Instant,
     ) -> Result<(sqe_core::IngestReport, PartialInstallOutcome), DoorError> {
         if let Err(wait) = self.bucket.try_take(now) {
-            self.metrics.shed(wait.as_nanos() as u64);
+            self.service.metrics().door_shed(wait);
             return Err(DoorError::Overloaded {
                 scope: ShedScope::Quota,
                 retry_after: wait,
@@ -263,17 +259,14 @@ impl FrontDoor {
         catalog: SitCatalog,
         config: TenantConfig,
     ) -> Arc<Tenant> {
-        let metrics = Arc::new(TenantMetrics::default());
         let service = EstimationService::new(Arc::new(db.clone()), catalog.clone(), config.service)
-            .with_shared_admission(Arc::clone(&self.global))
-            .with_metrics(Arc::clone(&metrics) as Arc<dyn MetricsSink>);
+            .with_shared_admission(Arc::clone(&self.global));
         let tenant = Arc::new(Tenant {
             name: name.to_string(),
             service,
             live: Mutex::new(LiveCatalog::new(db, catalog, config.delta)),
             bucket: TokenBucket::new(config.quota, Instant::now()),
             admission: AdmissionControl::new(config.quota.max_in_flight),
-            metrics,
             config,
         });
         self.tenants
@@ -364,19 +357,54 @@ impl FrontDoor {
         let Some(tenant) = self.tenant(name) else {
             return Response::json(404, err_body("unknown tenant", Some(name)));
         };
-        let snap: MetricsSnapshot = tenant.metrics.snapshot();
-        match serde_json::to_string(&snap) {
+        match serde_json::to_string(&StatsResponse::from(&tenant.service.stats())) {
             Ok(s) => Response::json(200, s),
             Err(e) => Response::json(500, err_body(&format!("encode: {e}"), None)),
         }
     }
 
+    /// Prometheus-style text exposition: one line per series, every
+    /// tenant series labeled `tenant="<name>"`, then the global pool.
     fn render_metrics(&self) -> String {
+        use std::fmt::Write;
         let mut out = String::new();
         for tenant in self.tenants() {
-            tenant.metrics.render(&tenant.name, &mut out);
+            let (s, name) = (tenant.service.stats(), &tenant.name);
+            for (i, q) in Quality::ALL.iter().enumerate() {
+                let (a, ans, n) = (s.rung_attempts[i], s.rung_answers[i], s.quality_counts[i]);
+                if a + ans + n > 0 {
+                    let series = format!("{{tenant=\"{name}\",rung=\"{}\"}}", q.label());
+                    let _ = writeln!(out, "sqe_rung_attempted_total{series} {a}");
+                    let _ = writeln!(out, "sqe_rung_answered_total{series} {ans}");
+                    let _ = writeln!(out, "sqe_estimates_served_total{series} {n}");
+                }
+            }
+            for (reason, label) in DegradeReason::ALL.iter().zip(REASON_LABELS) {
+                let n = s.degraded_by(*reason);
+                if n > 0 {
+                    let _ = writeln!(
+                        out,
+                        "sqe_degraded_total{{tenant=\"{name}\",reason=\"{label}\"}} {n}"
+                    );
+                }
+            }
+            let tenant_series = [
+                ("sqe_estimates_cached_total", s.query_cache_hits),
+                ("sqe_sheds_total", s.all_sheds()),
+                ("sqe_quarantines_total", s.quarantines),
+                ("sqe_ingest_epoch", s.max_epoch),
+            ];
+            for (series, n) in tenant_series {
+                let _ = writeln!(out, "{series}{{tenant=\"{name}\"}} {n}");
+            }
+            for (q, label) in [(0.50, "0.5"), (0.99, "0.99"), (0.999, "0.999")] {
+                let _ = writeln!(
+                    out,
+                    "sqe_latency_us{{tenant=\"{name}\",quantile=\"{label}\"}} {}",
+                    s.latency_quantile_us(q)
+                );
+            }
         }
-        use std::fmt::Write;
         let _ = writeln!(out, "sqe_global_in_flight {}", self.global.in_flight());
         let _ = writeln!(
             out,
@@ -411,6 +439,85 @@ struct EstimateResponse {
     quality: String,
     degraded: Option<String>,
     upper_bound: Option<f64>,
+}
+
+/// Wire labels of [`DegradeReason::ALL`] in `/metrics` and
+/// `/v1/<tenant>/stats`.
+const REASON_LABELS: [&str; 4] = ["deadline", "work_quota", "cancelled", "panic"];
+
+/// Wire shape of `GET /v1/<tenant>/stats`: the tenant's metrics, where a
+/// refusal at any of the three admission gates counts as a shed, rungs
+/// run worst to best, and latency quantiles are conservative
+/// microseconds.
+#[derive(serde::Serialize)]
+struct StatsResponse {
+    rungs: Vec<RungCounts>,
+    degraded: Vec<ReasonCount>,
+    served_total: u64,
+    cached: u64,
+    full_fraction: f64,
+    sheds: u64,
+    shed_retry_ms_mean: f64,
+    shed_retry_ms_max: f64,
+    quarantines: u64,
+    bound_width_mean: f64,
+    bound_width_max: f64,
+    max_epoch: u64,
+    p50_us: u64,
+    p99_us: u64,
+    p999_us: u64,
+}
+
+#[derive(serde::Serialize)]
+struct RungCounts {
+    rung: String,
+    attempted: u64,
+    answered: u64,
+    served: u64,
+}
+
+#[derive(serde::Serialize)]
+struct ReasonCount {
+    reason: String,
+    count: u64,
+}
+
+impl From<&MetricsSnapshot> for StatsResponse {
+    fn from(s: &MetricsSnapshot) -> Self {
+        StatsResponse {
+            rungs: Quality::ALL
+                .iter()
+                .enumerate()
+                .map(|(i, q)| RungCounts {
+                    rung: q.label().to_string(),
+                    attempted: s.rung_attempts[i],
+                    answered: s.rung_answers[i],
+                    served: s.quality_counts[i],
+                })
+                .collect(),
+            degraded: DegradeReason::ALL
+                .iter()
+                .zip(REASON_LABELS)
+                .map(|(r, label)| ReasonCount {
+                    reason: label.to_string(),
+                    count: s.degraded_by(*r),
+                })
+                .collect(),
+            served_total: s.estimates,
+            cached: s.query_cache_hits,
+            full_fraction: s.full_fraction(),
+            sheds: s.all_sheds(),
+            shed_retry_ms_mean: s.retry_ms_mean(),
+            shed_retry_ms_max: s.retry_ms_max(),
+            quarantines: s.quarantines,
+            bound_width_mean: s.bound_width_mean(),
+            bound_width_max: s.bound_width_max(),
+            max_epoch: s.max_epoch,
+            p50_us: s.latency_quantile_us(0.50),
+            p99_us: s.latency_quantile_us(0.99),
+            p999_us: s.latency_quantile_us(0.999),
+        }
+    }
 }
 
 /// Wire shape of a successful ingest.
@@ -480,7 +587,6 @@ fn error_response(e: DoorError) -> Response {
             .unwrap_or_else(|_| "{\"error\":\"overloaded\"}".to_string()),
         ),
         DoorError::Bad(m) => Response::json(400, err_body(&m, None)),
-        DoorError::UnknownTenant(t) => Response::json(404, err_body("unknown tenant", Some(&t))),
     }
 }
 

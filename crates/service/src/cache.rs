@@ -13,7 +13,7 @@ use std::hash::{BuildHasher, BuildHasherDefault, Hash};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use parking_lot::Mutex;
-use sqe_core::{CacheKey, SharedEstimatorCache, SitId};
+use sqe_core::{CacheCounters, CacheKey, SharedEstimatorCache, SitId};
 use sqe_engine::TableId;
 use sqe_histogram::Histogram;
 
@@ -304,31 +304,6 @@ pub struct CarryStats {
     pub carried: u64,
     /// Entries invalidated by the install.
     pub dropped: u64,
-}
-
-/// Point-in-time cache counters (monotone, process lifetime).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheCounters {
-    /// Lookups that found an entry.
-    pub hits: u64,
-    /// Lookups that found nothing.
-    pub misses: u64,
-    /// Values written (fresh or overwriting).
-    pub insertions: u64,
-    /// Entries displaced by a bounded map at capacity.
-    pub evictions: u64,
-}
-
-impl CacheCounters {
-    /// Hits as a fraction of lookups; 0 when nothing was looked up.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]

@@ -8,17 +8,19 @@
 //!   `(database, SIT catalogs, cross-query cache)`. Readers pin a snapshot
 //!   with an `Arc` and are never blocked or invalidated by a concurrent
 //!   pool rebuild;
-//! * [`EstimationService`] — [`EstimationService::estimate`] /
-//!   [`EstimationService::estimate_batch`] construct per-query
-//!   [`sqe_core::SelectivityEstimator`]s against the current snapshot,
+//! * [`EstimationService`] — every endpoint runs the degradation
+//!   [`sqe_core::Ladder`] against the current snapshot under panic
+//!   isolation (the unbudgeted [`EstimationService::estimate`] /
+//!   [`EstimationService::estimate_batch`] at an unlimited budget),
 //!   backed by a [`ShardedCache`] that reuses per-link conditional factors
 //!   and SIT join products across queries and threads;
 //! * [`ShardedCache`] — N shards of `parking_lot::Mutex` around bounded
 //!   [`lru::LruMap`]s, keyed by canonicalized
 //!   `(predicate-set, conditioning-set, error-mode)` fingerprints
 //!   ([`sqe_core::CacheKey`]);
-//! * [`ServiceStatsSnapshot`] — atomic counters and a power-of-two latency
-//!   histogram for monitoring.
+//! * [`sqe_core::Metrics`] — each service's relaxed-atomic request
+//!   counters and log-linear latency histogram, read through
+//!   [`EstimationService::stats`].
 //!
 //! Correctness bar: concurrent estimates are **bit-identical** to a fresh
 //! single-threaded estimator over the same catalog — the cache only stores
@@ -30,20 +32,18 @@ pub mod admission;
 pub mod cache;
 pub mod lru;
 pub mod service;
-pub mod stats;
 
 pub use admission::{AdmissionControl, Permit};
-pub use cache::{CacheCounters, CarryStats, ShardedCache};
+pub use cache::{CarryStats, ShardedCache};
 pub use lru::LruMap;
 pub use service::{
     CatalogSnapshot, DpThreadsMode, Estimate, EstimationService, PartialInstallOutcome,
     ServiceConfig, ServiceError,
 };
 pub use sqe_core::{
-    BackendKind, BoundSketch, Budget, CancelToken, DegradeReason, DpStrategy, MetricsSink,
-    NullSink, Quality, SelectivityBackend,
+    BackendKind, BoundSketch, Budget, CacheCounters, CancelToken, DegradeReason, DpStrategy,
+    IngestCounters, Metrics, MetricsSnapshot, Quality, SelectivityBackend,
 };
-pub use stats::{IngestCounters, ServiceStatsSnapshot, LATENCY_BUCKETS, QUALITY_TIERS};
 
 /// The whole point of the crate: everything shared is thread-safe.
 #[allow(dead_code)]
@@ -52,5 +52,5 @@ fn static_assertions() {
     assert_send_sync::<EstimationService>();
     assert_send_sync::<CatalogSnapshot>();
     assert_send_sync::<ShardedCache>();
-    assert_send_sync::<ServiceStatsSnapshot>();
+    assert_send_sync::<Metrics>();
 }

@@ -1,5 +1,7 @@
 //! The estimation service: catalog snapshots and the concurrent
-//! `estimate` / `estimate_batch` front end.
+//! `estimate` / `estimate_batch` front end. Every request runs the
+//! degradation [`Ladder`] under panic isolation; the unbudgeted endpoints
+//! are the budgeted ones at an unlimited budget, minus admission.
 
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -10,15 +12,14 @@ use std::time::{Duration, Instant};
 use parking_lot::RwLock;
 use sqe_core::{
     build_pool_threaded, BackendKind, BeamConfig, BnBackend, BnCatalog, BoundSketch, Budget,
-    CacheKey, DegradeReason, DiffBackend, DpStrategy, ErrorMode, IngestReport, Ladder, MetricsSink,
-    NullSink, PessimisticBackend, PoolSpec, Quality, SelectivityBackend, SelectivityEstimator,
-    Sit2Catalog, SitCatalog, SitOptions,
+    CacheKey, DegradeReason, DiffBackend, DpStrategy, ErrorMode, IngestReport, Ladder, Metrics,
+    MetricsSnapshot, PessimisticBackend, PoolSpec, Quality, SelectivityBackend, Sit2Catalog,
+    SitCatalog, SitOptions,
 };
 use sqe_engine::{Database, Result as EngineResult, SpjQuery};
 
 use crate::admission::AdmissionControl;
 use crate::cache::ShardedCache;
-use crate::stats::{ServiceStats, ServiceStatsSnapshot};
 
 /// Kept only for the benchmark harness: the DP fill is always serial.
 #[doc(hidden)]
@@ -78,9 +79,9 @@ pub struct ServiceConfig {
     /// The service-level deadline [`EstimationService::default_budget`]
     /// hands out: the latency envelope a budgeted request is expected to
     /// answer within — by degrading, never by erroring. Wide queries
-    /// routed to the beam engine are tuned (width 8, see
-    /// `BENCH_estimator.json`'s wide-`n` rows) to fit a 32-predicate
-    /// estimate inside this deadline on a single core.
+    /// routed to the beam engine are tuned (the width-4 default
+    /// [`BeamConfig`], see `BENCH_estimator.json`'s wide-`n` rows) to fit
+    /// a 32-predicate estimate inside this deadline on a single core.
     pub default_deadline: Duration,
     /// Which [`SelectivityBackend`] every estimator runs with (see the
     /// backend-selection table in the README). `Diff` — the default —
@@ -264,12 +265,12 @@ pub struct Estimate {
     /// of thread count (pinned by the `sqe-oracle` batch-determinism
     /// suite). Don't assert on `cached` in tests that vary parallelism.
     pub cached: bool,
-    /// How the answer was obtained. The unbudgeted endpoints and every
-    /// in-budget request report [`Quality::Full`] — or [`Quality::Beam`]
-    /// when [`ServiceConfig::dp_strategy`] routes the query's width to
-    /// the beam-search approximate engine (under `Auto`, `n > 20`); a
-    /// budgeted request that ran out reports the degradation-ladder rung
-    /// that answered.
+    /// How the answer was obtained. Every in-budget request — the
+    /// unbudgeted endpoints always are — reports [`Quality::Full`], or
+    /// [`Quality::Beam`] when [`ServiceConfig::dp_strategy`] routes the
+    /// query's width to the beam-search approximate engine (under `Auto`,
+    /// `n > 20`); a request that ran out of budget, or whose estimator
+    /// panicked, reports the degradation-ladder rung that answered.
     pub quality: Quality,
     /// Why the answer is degraded below the best rung the query's routing
     /// allows (`None` iff the answer is undegraded: `Full`, or `Beam` for
@@ -291,24 +292,22 @@ pub struct Estimate {
 /// [`EstimationService::install`] / [`EstimationService::rebuild_pool`]
 /// atomically swap in a fresh snapshot without blocking readers mid-query.
 /// Estimates are bit-identical to running a fresh single-threaded
-/// [`SelectivityEstimator`] against the same catalog: the shared cache only
-/// stores values that are pure functions of `(predicates, conditioning set,
-/// mode, snapshot)`.
+/// [`sqe_core::SelectivityEstimator`] against the same catalog: the shared
+/// cache only stores values that are pure functions of `(predicates,
+/// conditioning set, mode, snapshot)`.
 pub struct EstimationService {
     config: ServiceConfig,
     /// The database lives inside each snapshot (not on the service):
     /// partial installs can evolve it, and a reader's estimates must be
     /// consistent with the database its catalog was built against.
     current: RwLock<Arc<CatalogSnapshot>>,
-    stats: ServiceStats,
+    /// Every request, rung, refusal, quarantine and install of this
+    /// service (and, behind a front door, of the gates in front of it).
+    metrics: Metrics,
     /// Shared so several services (one per tenant behind a front door)
     /// can draw on one process-wide in-flight budget — see
     /// [`EstimationService::with_shared_admission`].
     admission: Arc<AdmissionControl>,
-    /// Per-request observer (rung mix, sheds, quarantines, bound width,
-    /// ingest epochs). [`NullSink`] — free — unless a front end installs
-    /// a real one via [`EstimationService::with_metrics`].
-    metrics: Arc<dyn MetricsSink>,
 }
 
 impl EstimationService {
@@ -330,16 +329,15 @@ impl EstimationService {
         EstimationService {
             config,
             current: RwLock::new(snapshot),
-            stats: ServiceStats::default(),
+            metrics: Metrics::default(),
             admission: Arc::new(AdmissionControl::new(config.max_in_flight)),
-            metrics: Arc::new(NullSink),
         }
     }
 
     /// Replaces this service's admission control with a shared one, so
     /// several services draw permits from a single process-wide budget.
     /// The multi-tenant front door (`sqe-server`) gives every tenant its
-    /// own service — own snapshots, cache, stats — but one global
+    /// own service — own snapshots, cache, metrics — but one global
     /// [`AdmissionControl`], so aggregate in-flight work stays bounded no
     /// matter how many tenants exist. [`ServiceConfig::max_in_flight`] is
     /// ignored in favor of the shared pool's bound. Call before serving
@@ -349,20 +347,16 @@ impl EstimationService {
         self
     }
 
-    /// Installs a [`MetricsSink`] observing every request: per-rung
-    /// attempts and answers (threaded into the core [`Ladder`]), served
-    /// estimates with latency and quality, sheds with their retry hints,
-    /// quarantines, bound widths, and observed ingest epochs. Sinks only
-    /// observe — answers are bit-identical with or without one. Call
-    /// before serving traffic.
-    pub fn with_metrics(mut self, sink: Arc<dyn MetricsSink>) -> Self {
-        self.metrics = sink;
-        self
-    }
-
     /// The admission pool this service draws budgeted permits from.
     pub fn admission(&self) -> &Arc<AdmissionControl> {
         &self.admission
+    }
+
+    /// The live metrics every request of this service records into. A
+    /// front door records its own gates' refusals here too
+    /// ([`Metrics::door_shed`]); [`EstimationService::stats`] reads them.
+    pub fn metrics(&self) -> &Metrics {
+        &self.metrics
     }
 
     /// The service configuration.
@@ -405,7 +399,7 @@ impl EstimationService {
         });
         *current = snapshot;
         drop(current);
-        self.stats.record_install();
+        self.metrics.install();
     }
 
     /// Publishes a delta-ingested catalog as an **epoch-tagged partial
@@ -459,7 +453,7 @@ impl EstimationService {
             backend,
         });
         drop(current);
-        self.stats.record_partial_install(
+        self.metrics.partial_install(
             report.ops_applied as u64,
             report.sits_refreshed.len() as u64,
             carry.carried,
@@ -497,15 +491,20 @@ impl EstimationService {
         Ok(())
     }
 
-    /// Estimates one query against the current snapshot.
+    /// Estimates one query against the current snapshot: an
+    /// [`EstimationService::estimate_with_budget`] at an unlimited budget
+    /// that takes no admission permit. Panic-isolated like it — a
+    /// panicking estimator is answered from the independence floor with
+    /// [`DegradeReason::Panic`] — and bit-identical to a fresh estimator
+    /// otherwise.
     pub fn estimate(&self, query: &SpjQuery) -> Estimate {
-        let snapshot = self.snapshot();
-        self.estimate_on(&snapshot, query)
+        self.guarded(&self.snapshot(), query, &Budget::unlimited())
     }
 
     /// Estimates a batch against one consistent snapshot: every query in
     /// the slice is answered by the same catalog generation even if a
-    /// rebuild lands mid-batch.
+    /// rebuild lands mid-batch. The unlimited-budget, admission-free
+    /// sibling of [`EstimationService::estimate_batch_with_budget`].
     ///
     /// With [`ServiceConfig::batch_threads`] > 1 the batch fans out over a
     /// scoped worker pool sharing that one snapshot (and its cross-query
@@ -516,42 +515,10 @@ impl EstimationService {
     /// estimates are pure functions of `(query, snapshot)` and the shared
     /// cache only memoizes such values. The sole scheduling-dependent field
     /// is the [`Estimate::cached`] flag (two workers can race the same
-    /// whole-query key and both compute it). Per-query latency stats are
+    /// whole-query key and both compute it). Per-query metrics are
     /// recorded from the workers as usual.
     pub fn estimate_batch(&self, queries: &[SpjQuery]) -> Vec<Estimate> {
-        self.stats.record_batch();
-        let snapshot = self.snapshot();
-        let workers = self.batch_workers(queries.len());
-        if workers < 2 {
-            return queries
-                .iter()
-                .map(|q| self.estimate_on(&snapshot, q))
-                .collect();
-        }
-        let slots: Vec<Mutex<Option<Estimate>>> =
-            queries.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let (snapshot, next, slots) = (&snapshot, &next, &slots);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(move || loop {
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    if idx >= queries.len() {
-                        break;
-                    }
-                    let e = self.estimate_on(snapshot, &queries[idx]);
-                    *slots[idx].lock().expect("estimate slot poisoned") = Some(e);
-                });
-            }
-        });
-        slots
-            .iter()
-            .map(|slot| {
-                slot.lock()
-                    .expect("estimate slot poisoned")
-                    .expect("every batch index claimed by exactly one worker")
-            })
-            .collect()
+        self.fan_out(queries, &Budget::unlimited())
     }
 
     /// Worker count for a batch: the configured `batch_threads` (default:
@@ -564,9 +531,9 @@ impl EstimationService {
         configured.min(queries).max(1)
     }
 
-    /// Service metrics, including the current snapshot's cache counters.
-    pub fn stats(&self) -> ServiceStatsSnapshot {
-        self.stats.snapshot(self.snapshot().cache.counters())
+    /// Service metrics, with the current snapshot's cache counters.
+    pub fn stats(&self) -> MetricsSnapshot {
+        self.metrics.snapshot(self.snapshot().cache.counters())
     }
 
     /// The budget a caller with no latency requirements of its own should
@@ -578,87 +545,15 @@ impl EstimationService {
         Budget::unlimited().with_deadline(self.config.default_deadline)
     }
 
-    fn estimate_on(&self, snapshot: &CatalogSnapshot, query: &SpjQuery) -> Estimate {
-        let start = Instant::now();
-        // Queries the strategy routes to the beam engine get approximate
-        // answers, which must never enter the whole-query cache (only
-        // exact `Full` answers are cached — the invariant budgeted cache
-        // hits rely on) and are labeled honestly.
-        let routed = self.config.dp_strategy.use_beam(query.predicates.len());
-        let key = CacheKey::query(self.config.mode, &query.predicates);
-        let hit = (!routed).then(|| snapshot.cache.get_query(&key)).flatten();
-        let (result, cached) = match hit {
-            Some(hit) => (hit, true),
-            None => {
-                let mut est = SelectivityEstimator::new(
-                    &snapshot.db,
-                    query,
-                    &snapshot.sits,
-                    self.config.mode,
-                )
-                .with_strategy(self.config.dp_strategy)
-                .with_beam_config(self.config.beam)
-                .with_backend(Arc::clone(&snapshot.backend));
-                if !routed {
-                    // Beam-routed widths skip the link cache too: the
-                    // bounded walk recomputes less than the per-link
-                    // round-trips cost (see `Ladder::build_estimator_as`).
-                    est = est.with_shared_cache(&snapshot.cache);
-                }
-                if let Some(sit2) = &snapshot.sit2 {
-                    est = est.with_sit2_catalog(sit2);
-                }
-                if self.config.sit_driven_pruning {
-                    est = est.with_sit_driven_pruning();
-                }
-                let all = est.context().all();
-                let result = est.get_selectivity(all);
-                if !routed {
-                    snapshot.cache.put_query(key, result);
-                }
-                (result, false)
-            }
-        };
-        let latency = start.elapsed();
-        self.stats.record_estimate(latency, cached);
-        let estimate = Estimate {
-            selectivity: result.0,
-            error: result.1,
-            cardinality: cardinality_of(snapshot, query, result.0),
-            epoch: snapshot.epoch,
-            cached,
-            quality: if routed { Quality::Beam } else { Quality::Full },
-            degraded_reason: None,
-            upper_bound: snapshot.bound.upper_bound(query),
-        };
-        self.observe(&estimate, latency);
-        estimate
-    }
-
-    /// Reports one served estimate to the installed [`MetricsSink`]:
-    /// latency + quality, the safety-envelope width when the bound is
-    /// known, and the snapshot epoch that answered.
-    fn observe(&self, e: &Estimate, latency: Duration) {
-        self.metrics
-            .estimate_served(latency.as_nanos() as u64, e.quality, e.cached);
-        if let Some(bound) = e.upper_bound {
-            if bound.is_finite() && e.cardinality.is_finite() {
-                self.metrics.bound_width(bound / e.cardinality.max(1.0));
-            }
-        }
-        self.metrics.ingest_epoch_observed(e.epoch);
-    }
-
     /// Estimates one query under a [`Budget`], degrading instead of
     /// blocking: if the budget runs out mid-DP the answer comes from a
     /// coarser rung of the [`Ladder`] with an honest [`Estimate::quality`]
-    /// label. Unlike [`EstimationService::estimate`], this endpoint is
-    /// admission-controlled (at most [`ServiceConfig::max_in_flight`]
-    /// concurrent budgeted requests; the rest are shed with
-    /// [`ServiceError::Overloaded`] and a retry-after hint) and
-    /// panic-isolated: a panicking estimator is caught, its snapshot's
-    /// cache quarantined, a fresh snapshot installed, and the request
-    /// still answered from the independence floor with
+    /// label. Admission-controlled (at most
+    /// [`ServiceConfig::max_in_flight`] concurrent budgeted requests; the
+    /// rest are shed with [`ServiceError::Overloaded`] and a retry-after
+    /// hint) and panic-isolated: a panicking estimator is caught, its
+    /// snapshot's cache quarantined, a fresh snapshot installed, and the
+    /// request still answered from the independence floor with
     /// [`DegradeReason::Panic`].
     ///
     /// An unlimited budget produces answers bit-identical to
@@ -672,8 +567,7 @@ impl EstimationService {
         let Some(_permit) = self.admission.try_acquire() else {
             return Err(self.shed());
         };
-        let snapshot = self.snapshot();
-        Ok(self.budgeted_guarded(&snapshot, query, budget))
+        Ok(self.guarded(&self.snapshot(), query, budget))
     }
 
     /// Budgeted sibling of [`EstimationService::estimate_batch`]: one
@@ -692,14 +586,22 @@ impl EstimationService {
         let Some(_permit) = self.admission.try_acquire() else {
             return Err(self.shed());
         };
-        self.stats.record_batch();
+        Ok(self.fan_out(queries, budget))
+    }
+
+    /// Answers `queries` against one snapshot, each under `budget`, fanned
+    /// out over [`EstimationService::batch_workers`] scoped workers (see
+    /// [`EstimationService::estimate_batch`] for the ordering and
+    /// bit-identity contract).
+    fn fan_out(&self, queries: &[SpjQuery], budget: &Budget) -> Vec<Estimate> {
+        self.metrics.batch();
         let snapshot = self.snapshot();
         let workers = self.batch_workers(queries.len());
         if workers < 2 {
-            return Ok(queries
+            return queries
                 .iter()
-                .map(|q| self.budgeted_guarded(&snapshot, q, budget))
-                .collect());
+                .map(|q| self.guarded(&snapshot, q, budget))
+                .collect();
         }
         let slots: Vec<Mutex<Option<Estimate>>> =
             queries.iter().map(|_| Mutex::new(None)).collect();
@@ -712,19 +614,19 @@ impl EstimationService {
                     if idx >= queries.len() {
                         break;
                     }
-                    let e = self.budgeted_guarded(snapshot, &queries[idx], budget);
+                    let e = self.guarded(snapshot, &queries[idx], budget);
                     *slots[idx].lock().expect("estimate slot poisoned") = Some(e);
                 });
             }
         });
-        Ok(slots
+        slots
             .iter()
             .map(|slot| {
                 slot.lock()
                     .expect("estimate slot poisoned")
                     .expect("every batch index claimed by exactly one worker")
             })
-            .collect())
+            .collect()
     }
 
     /// Records a shed and builds the `Overloaded` error with its
@@ -733,86 +635,77 @@ impl EstimationService {
     /// permit has completed, the mean estimate latency before that, both
     /// clamped to [1 ms, 1 s].
     fn shed(&self) -> ServiceError {
-        self.stats.record_shed();
         let retry_after = self
             .admission
             .note_shed()
-            .unwrap_or_else(|| self.stats.mean_latency_hint())
+            .unwrap_or_else(|| self.metrics.mean_latency())
             .clamp(Duration::from_millis(1), Duration::from_secs(1));
-        self.metrics.shed(retry_after.as_nanos() as u64);
+        self.metrics.shed(retry_after);
         ServiceError::Overloaded {
             in_flight: self.admission.in_flight(),
             retry_after,
         }
     }
 
-    /// Runs one budgeted estimate with panic isolation: a panic anywhere
-    /// in the estimator is caught here, the snapshot recovered, and the
-    /// request answered from the independence floor.
-    fn budgeted_guarded(
-        &self,
-        snapshot: &CatalogSnapshot,
-        query: &SpjQuery,
-        budget: &Budget,
-    ) -> Estimate {
+    /// Runs one estimate with panic isolation and records it: a panic
+    /// anywhere in the estimator, backend or bound sketch is caught here,
+    /// the snapshot recovered, and the request answered from the
+    /// independence floor.
+    fn guarded(&self, snapshot: &CatalogSnapshot, query: &SpjQuery, budget: &Budget) -> Estimate {
         let start = Instant::now();
-        match catch_unwind(AssertUnwindSafe(|| {
-            self.budgeted_on(snapshot, query, budget)
-        })) {
-            Ok(e) => e,
-            Err(_) => {
-                self.recover_after_panic(snapshot);
-                let selectivity = sqe_core::baseline::independence_selectivity(
-                    &snapshot.db,
-                    &snapshot.sits,
-                    query,
-                );
-                let latency = start.elapsed();
-                self.stats.record_estimate(latency, false);
-                self.stats.record_quality(
-                    Quality::Independence,
-                    Some(DegradeReason::Panic),
-                    latency,
-                );
-                self.metrics
-                    .rung_answered(Quality::Independence, Some(DegradeReason::Panic));
-                self.metrics.estimate_served(
-                    latency.as_nanos() as u64,
-                    Quality::Independence,
-                    false,
-                );
-                Estimate {
-                    selectivity,
-                    error: f64::INFINITY,
-                    cardinality: cardinality_of(snapshot, query, selectivity),
-                    epoch: snapshot.epoch,
-                    cached: false,
-                    quality: Quality::Independence,
-                    degraded_reason: Some(DegradeReason::Panic),
-                    // The panic may have come from the backend itself (the
-                    // chaos suite arms exactly that), so no backend code —
-                    // including the bound sketch — runs on this path.
-                    upper_bound: None,
+        let estimate =
+            match catch_unwind(AssertUnwindSafe(|| self.ladder_on(snapshot, query, budget))) {
+                Ok(e) => e,
+                Err(_) => {
+                    self.recover_after_panic(snapshot);
+                    self.metrics.rung_answered(Quality::Independence);
+                    let selectivity = sqe_core::baseline::independence_selectivity(
+                        &snapshot.db,
+                        &snapshot.sits,
+                        query,
+                    );
+                    Estimate {
+                        selectivity,
+                        error: f64::INFINITY,
+                        cardinality: cardinality_of(snapshot, query, selectivity),
+                        epoch: snapshot.epoch,
+                        cached: false,
+                        quality: Quality::Independence,
+                        degraded_reason: Some(DegradeReason::Panic),
+                        // The panic may have come from the backend itself (the
+                        // chaos suite arms exactly that), so no backend code —
+                        // including the bound sketch — runs on this path.
+                        upper_bound: None,
+                    }
                 }
+            };
+        let e = &estimate;
+        self.metrics.served(
+            start.elapsed(),
+            e.quality,
+            e.degraded_reason,
+            e.cached,
+            e.epoch,
+        );
+        if let Some(bound) = e.upper_bound {
+            if bound.is_finite() && e.cardinality.is_finite() {
+                self.metrics.bound_width(bound / e.cardinality.max(1.0));
             }
         }
+        estimate
     }
 
-    fn budgeted_on(
-        &self,
-        snapshot: &CatalogSnapshot,
-        query: &SpjQuery,
-        budget: &Budget,
-    ) -> Estimate {
-        let start = Instant::now();
+    /// One estimate: a whole-query cache hit, or the [`Ladder`] over the
+    /// snapshot's catalogs and shared cache. Only `Full` answers enter the
+    /// whole-query cache, so a hit is a `Full` answer regardless of this
+    /// request's budget, and beam-routed widths never hit.
+    fn ladder_on(&self, snapshot: &CatalogSnapshot, query: &SpjQuery, budget: &Budget) -> Estimate {
         let key = CacheKey::query(self.config.mode, &query.predicates);
         let (selectivity, error, quality, reason, cached) = match snapshot.cache.get_query(&key) {
-            // Only Full answers are ever inserted, so a hit *is* a Full
-            // answer regardless of this request's budget.
             Some((s, e)) => (s, e, Quality::Full, None, true),
             None => {
                 let mut ladder = Ladder::new(&snapshot.db, &snapshot.sits, self.config.mode)
-                    .with_metrics(&*self.metrics)
+                    .with_metrics(&self.metrics)
                     .with_strategy(self.config.dp_strategy)
                     .with_beam_config(self.config.beam)
                     .with_backend(Arc::clone(&snapshot.backend))
@@ -837,10 +730,7 @@ impl EstimationService {
                 )
             }
         };
-        let latency = start.elapsed();
-        self.stats.record_estimate(latency, cached);
-        self.stats.record_quality(quality, reason, latency);
-        let estimate = Estimate {
+        Estimate {
             selectivity,
             error,
             cardinality: cardinality_of(snapshot, query, selectivity),
@@ -849,9 +739,7 @@ impl EstimationService {
             quality,
             degraded_reason: reason,
             upper_bound: snapshot.bound.upper_bound(query),
-        };
-        self.observe(&estimate, latency);
-        estimate
+        }
     }
 
     /// Recovery after a request panicked against `snapshot`: quarantine
@@ -863,7 +751,6 @@ impl EstimationService {
     /// and return.
     fn recover_after_panic(&self, snapshot: &CatalogSnapshot) {
         snapshot.cache.quarantine();
-        self.stats.record_quarantine();
         self.metrics.quarantine();
         let mut current = self.current.write();
         if current.epoch != snapshot.epoch {
@@ -883,7 +770,7 @@ impl EstimationService {
         });
         *current = replacement;
         drop(current);
-        self.stats.record_install();
+        self.metrics.install();
     }
 }
 
@@ -898,6 +785,7 @@ fn cardinality_of(snapshot: &CatalogSnapshot, query: &SpjQuery, selectivity: f64
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sqe_core::SelectivityEstimator;
     use sqe_engine::table::TableBuilder;
     use sqe_engine::{CmpOp, ColRef, Predicate, TableId};
 
@@ -1226,6 +1114,49 @@ mod tests {
             0,
             "permit released on unwind path"
         );
+    }
+
+    #[test]
+    fn unbudgeted_endpoints_are_panic_isolated() {
+        let _g = sqe_core::failpoint::test_serial_guard();
+        sqe_core::failpoint::disarm_all();
+        let db = small_db();
+        let workload = vec![query(1)];
+        let catalog = sqe_core::build_pool(&db, &workload, PoolSpec::ji(1)).unwrap();
+        // One batch worker, so the batch runs on the arming thread.
+        let svc = EstimationService::new(
+            Arc::clone(&db),
+            catalog,
+            ServiceConfig {
+                batch_threads: NonZeroUsize::new(1),
+                ..ServiceConfig::default()
+            },
+        );
+        let call: [&dyn Fn(&SpjQuery) -> Estimate; 2] = [&|q| svc.estimate(q), &|q| {
+            svc.estimate_batch(std::slice::from_ref(q))[0]
+        }];
+        for (i, estimate) in call.iter().enumerate() {
+            let held = svc.snapshot();
+            sqe_core::failpoint::arm_on_current_thread(
+                "dp::solve_mask",
+                sqe_core::failpoint::Action::Panic,
+                1,
+                None,
+                1,
+            );
+            let e = estimate(&query(i as i64 + 2));
+            sqe_core::failpoint::disarm_all();
+
+            assert_eq!(e.quality, Quality::Independence);
+            assert_eq!(e.degraded_reason, Some(DegradeReason::Panic));
+            assert!(e.selectivity.is_finite());
+            assert!(held.cache().is_quarantined(), "panicked snapshot poisoned");
+            assert_eq!(svc.snapshot().epoch(), held.epoch() + 1);
+        }
+        let stats = svc.stats();
+        assert_eq!(stats.quarantines, 2);
+        assert_eq!(stats.degraded_by(DegradeReason::Panic), 2);
+        assert_eq!(svc.estimate(&query(1)).quality, Quality::Full);
     }
 
     #[test]

@@ -251,7 +251,7 @@ fn randomized_faults_never_hang_poison_or_mislabel() {
     assert_eq!(
         stats.quality_counts.iter().sum::<u64>(),
         stats.estimates,
-        "every request was budgeted, so per-quality counters cover them all"
+        "every request path is guarded and counted, so per-quality counters cover them all"
     );
 }
 
@@ -296,7 +296,7 @@ fn backend_service(
 ///
 /// * an injected `bn::build` panic retries to a network **bit-identical**
 ///   to a fault-free build (edge set and message-passing probabilities);
-/// * a backend panic during a budgeted estimate is caught and lands on
+/// * a backend panic during an estimate is caught and lands on
 ///   the labeled independence floor — `Quality::Independence`,
 ///   `DegradeReason::Panic`, no upper bound — never a propagated panic;
 /// * once the fault budget is exhausted and the sites disarmed, the same
@@ -344,7 +344,7 @@ fn backend_faults_land_on_the_labeled_floor_and_recover() {
         "retried build answers different probabilities"
     );
 
-    // Backend panics inside budgeted estimates: labeled floor, then
+    // Backend panics inside estimates: labeled floor, then
     // bit-identical recovery.
     for (kind, site) in [
         (BackendKind::Pessimistic, "pessimistic::bound"),

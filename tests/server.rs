@@ -123,6 +123,12 @@ struct EstimateWire {
     upper_bound: Option<f64>,
 }
 
+/// The one `/v1/<tenant>/stats` field the gate test reads.
+#[derive(serde::Deserialize)]
+struct StatsWire {
+    sheds: u64,
+}
+
 #[derive(serde::Deserialize)]
 struct ErrorWire {
     error: String,
@@ -352,6 +358,15 @@ fn each_gate_sheds_with_its_own_scope_and_a_capped_finite_hint() {
     );
     drop(g1);
     drop(g2);
+
+    // Every gate's refusal counts as a tenant shed on both wire views;
+    // the service's own count holds only the global admission gate's.
+    let metrics = door.handle(&Request::new("GET", "/metrics", ""));
+    assert!(body_str(&metrics).contains("sqe_sheds_total{tenant=\"acme\"} 3\n"));
+    let stats = door.handle(&Request::new("GET", "/v1/acme/stats", ""));
+    let stats: StatsWire = serde_json::from_str(body_str(&stats)).expect("stats body parses");
+    assert_eq!(stats.sheds, 3);
+    assert_eq!(tenant.service().stats().sheds, 1);
 
     // Recovery: permits back, bucket refilled → Full again.
     std::thread::sleep(Duration::from_millis(60));
