@@ -130,6 +130,16 @@ impl DegradeReason {
         DegradeReason::Cancelled,
         DegradeReason::Panic,
     ];
+
+    /// Label of this reason in `/metrics` and `/v1/<tenant>/stats`.
+    pub fn label(self) -> &'static str {
+        match self {
+            DegradeReason::Deadline => "deadline",
+            DegradeReason::WorkQuota => "work_quota",
+            DegradeReason::Cancelled => "cancelled",
+            DegradeReason::Panic => "panic",
+        }
+    }
 }
 
 impl From<ExhaustReason> for DegradeReason {

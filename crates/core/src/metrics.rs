@@ -166,7 +166,9 @@ impl Default for Buckets {
 impl Metrics {
     /// The ladder is about to try a rung: once per attempted rung in
     /// descending-quality order; an unlimited budget reports a single
-    /// attempt at its top rung.
+    /// attempt at its top rung. A service answering a panicked request
+    /// from its independence floor records one attempt and one answer
+    /// there, so answers never outnumber attempts on any rung.
     pub fn rung_attempted(&self, quality: Quality) {
         self.attempted[quality_idx(quality)].fetch_add(1, RELAXED);
     }

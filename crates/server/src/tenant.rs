@@ -379,12 +379,13 @@ impl FrontDoor {
                     let _ = writeln!(out, "sqe_estimates_served_total{series} {n}");
                 }
             }
-            for (reason, label) in DegradeReason::ALL.iter().zip(REASON_LABELS) {
-                let n = s.degraded_by(*reason);
+            for reason in DegradeReason::ALL {
+                let n = s.degraded_by(reason);
                 if n > 0 {
                     let _ = writeln!(
                         out,
-                        "sqe_degraded_total{{tenant=\"{name}\",reason=\"{label}\"}} {n}"
+                        "sqe_degraded_total{{tenant=\"{name}\",reason=\"{}\"}} {n}",
+                        reason.label()
                     );
                 }
             }
@@ -441,10 +442,6 @@ struct EstimateResponse {
     upper_bound: Option<f64>,
 }
 
-/// Wire labels of [`DegradeReason::ALL`] in `/metrics` and
-/// `/v1/<tenant>/stats`.
-const REASON_LABELS: [&str; 4] = ["deadline", "work_quota", "cancelled", "panic"];
-
 /// Wire shape of `GET /v1/<tenant>/stats`: the tenant's metrics, where a
 /// refusal at any of the three admission gates counts as a shed, rungs
 /// run worst to best, and latency quantiles are conservative
@@ -497,9 +494,8 @@ impl From<&MetricsSnapshot> for StatsResponse {
                 .collect(),
             degraded: DegradeReason::ALL
                 .iter()
-                .zip(REASON_LABELS)
-                .map(|(r, label)| ReasonCount {
-                    reason: label.to_string(),
+                .map(|r| ReasonCount {
+                    reason: r.label().to_string(),
                     count: s.degraded_by(*r),
                 })
                 .collect(),

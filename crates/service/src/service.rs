@@ -658,6 +658,7 @@ impl EstimationService {
                 Ok(e) => e,
                 Err(_) => {
                     self.recover_after_panic(snapshot);
+                    self.metrics.rung_attempted(Quality::Independence);
                     self.metrics.rung_answered(Quality::Independence);
                     let selectivity = sqe_core::baseline::independence_selectivity(
                         &snapshot.db,
@@ -1156,6 +1157,15 @@ mod tests {
         let stats = svc.stats();
         assert_eq!(stats.quarantines, 2);
         assert_eq!(stats.degraded_by(DegradeReason::Panic), 2);
+        // The panic floor is one attempt and one answer at its rung.
+        let floor = Quality::ALL
+            .iter()
+            .position(|q| *q == Quality::Independence)
+            .unwrap();
+        assert_eq!(
+            (stats.rung_attempts[floor], stats.rung_answers[floor]),
+            (2, 2)
+        );
         assert_eq!(svc.estimate(&query(1)).quality, Quality::Full);
     }
 

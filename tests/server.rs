@@ -285,6 +285,56 @@ fn wire_protocol_is_total_and_answers_match_the_service() {
 // ---------------------------------------------------------------------
 
 #[test]
+fn metrics_route_counts_one_served_estimate_exactly() {
+    let _guard = failpoint::test_serial_guard();
+    failpoint::disarm_all();
+
+    let door = FrontDoor::new(0);
+    let _tenant = add_small_tenant(&door, "acme", 0, open_quota());
+    let resp = door.handle(&Request::new(
+        "POST",
+        "/v1/acme/estimate",
+        estimate_body(&small_queries()[0], Some(5_000)),
+    ));
+    assert_eq!(parse_estimate(&resp).quality, "full");
+
+    let metrics = door.handle(&Request::new("GET", "/metrics", ""));
+    assert_eq!(metrics.status, 200);
+    let body = body_str(&metrics);
+    for line in [
+        "sqe_rung_attempted_total{tenant=\"acme\",rung=\"full\"} 1",
+        "sqe_rung_answered_total{tenant=\"acme\",rung=\"full\"} 1",
+        "sqe_estimates_served_total{tenant=\"acme\",rung=\"full\"} 1",
+        "sqe_estimates_cached_total{tenant=\"acme\"} 0",
+        "sqe_sheds_total{tenant=\"acme\"} 0",
+        "sqe_quarantines_total{tenant=\"acme\"} 0",
+    ] {
+        assert!(
+            body.lines().any(|l| l == line),
+            "missing `{line}` in\n{body}"
+        );
+    }
+    assert!(
+        !body.contains("sqe_degraded_total"),
+        "an undegraded answer has no reason series:\n{body}"
+    );
+    // One sample: every quantile is the upper edge of its bucket.
+    let quantiles: Vec<u64> = ["0.5", "0.99", "0.999"]
+        .iter()
+        .map(|q| {
+            let prefix = format!("sqe_latency_us{{tenant=\"acme\",quantile=\"{q}\"}} ");
+            let line = body
+                .lines()
+                .find(|l| l.starts_with(&prefix))
+                .unwrap_or_else(|| panic!("missing `{prefix}` in\n{body}"));
+            line[prefix.len()..].parse().expect("integer microseconds")
+        })
+        .collect();
+    assert!(quantiles[0] > 0, "a latency edge is at least 1µs");
+    assert!(quantiles.windows(2).all(|w| w[0] == w[1]), "{quantiles:?}");
+}
+
+#[test]
 fn each_gate_sheds_with_its_own_scope_and_a_capped_finite_hint() {
     let _guard = failpoint::test_serial_guard();
     failpoint::disarm_all();
